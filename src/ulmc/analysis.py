@@ -21,6 +21,7 @@ from .errors import ConfigError, UlmcError, UnsupportedTargetError
 from .samplers import (
     SamplerState,
     Schedule,
+    _resolve_start,
     exponential_euler_uld_step,
     rmm_run_ensemble,
     rmm_step,
@@ -446,11 +447,7 @@ def coupled_error_experiment(
     n_ref = steps_per_h[h_min] * reference_refinement
 
     u = 1.0 / target.smoothness
-    start = np.asarray(x0, dtype=float) if x0 is not None else None
-    if start is None:
-        if target.minimizer is None:
-            raise ConfigError("target has no minimizer and no start point was given")
-        start = np.asarray(target.minimizer, dtype=float)
+    start = _resolve_start(target, x0)
 
     seeds = np.random.SeedSequence(seed).spawn(chains)
     per_chain = {(h, m): [] for h in h_values for m in methods}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,21 +138,24 @@ class ExpEulerIncrements(NamedTuple):
 
 
 def _sample_gh(lengths, dim, rng):
-    """Sample (H, G) rows for a batch of interval lengths.
+    """Sample (H, G) for a block of fresh cells.
 
-    lengths has shape (k,); returns H, G of shape (k, dim).  Draws are
-    consumed for every entry so the stream layout does not depend on the
-    lengths; zero-length rows come out exactly zero.
+    lengths has shape (cells, ...); returns H, G of shape lengths.shape +
+    (dim,).  Per cell, left to right, one block of shape lengths.shape[1:] +
+    (dim,) is drawn for H, then one for G, so the stream layout does not
+    depend on the lengths; zero-length cells come out exactly zero.
     """
     lengths = np.asarray(lengths, dtype=float)
-    k = lengths.shape[0]
-    t = lengths[:, None]
-    z_h = rng.standard_normal((k, dim))
-    z_g = rng.standard_normal((k, dim))
+    t = lengths[..., None]
+    h = np.empty(lengths.shape + (dim,))
+    g = np.empty_like(h)
+    for h_cell, g_cell in zip(h, g):
+        rng.standard_normal(out=h_cell)
+        rng.standard_normal(out=g_cell)
     var_h, cov, _ = gh_covariance(t)
-    h = np.sqrt(var_h) * z_h
-    slope = np.divide(cov, t, out=np.ones_like(t), where=t > 0.0)
-    g = slope * h + np.sqrt(_residual_var(t)) * z_g
+    h *= np.sqrt(var_h)
+    g *= np.sqrt(_residual_var(t))
+    g += np.divide(cov, t, out=np.ones_like(t), where=t > 0.0) * h
     return h, g
 
 
@@ -219,78 +222,94 @@ def split(parent: IntervalStats, at, rng):
     return left, right
 
 
-def _assemble(cells, starts, w1_end: Optional[float], end: float):
-    """Linear combinations of per-cell (H, G) giving (W1, W2, W3).
+def _combine(cell_h, cell_g, starts, end, mid_cells, mids):
+    """(W1, W2, W3) of one step as weighted sums of its cells' (H, G).
 
-    cells[i] = (H, G) of the consecutive cell starting at starts[i], the
-    cells covering [0, end]; W1 sums the cells ending at or before w1_end.
+    cell_h, cell_g have shape (cells, ..., dim): consecutive cells covering
+    [0, end], cell c starting at starts[c] (shape (cells, ...), starts[0]
+    is 0).  W1[r] ends at mids[r], the end of the r-th cell the slice
+    mid_cells selects; W1 is None when mids is empty.  Every cell's G is
+    re-anchored at the step origin, as in `compose`, so each output is a
+    prefix sum times one exponential weight.  Overwrites cell_h and cell_g.
     """
-    w2 = 0.0
-    w3 = 0.0
-    w1 = 0.0
-    for (h, g), start in zip(cells, starts):
-        w3_weight = np.exp(-2.0 * (end - start))
-        w2 += h - w3_weight * g
-        w3 += w3_weight * g
-        if w1_end is not None and start < w1_end - 1e-15:
-            w1 += h - np.exp(-2.0 * (w1_end - start)) * g
+    cell_g[1:] *= np.exp(2.0 * np.asarray(starts)[1:])[..., None]  # cell 0 starts at 0
+    # Prefix sums in place.  np.cumsum walks the cell axis entry by entry,
+    # while adding block to block costs one interpreter round trip per
+    # cell: the loop wins for wide blocks (fresh ensembles), cumsum for many
+    # narrow cells (path-store steps).  The two break even near 200 entries
+    # per block (measured on a 2-vCPU x86_64 VM, numpy 2.4).
+    cells, width = len(cell_h), cell_h[0].size
+    if (cells - 1) * 200 < cells * width:
+        for c in range(1, cells):
+            cell_h[c] += cell_h[c - 1]
+            cell_g[c] += cell_g[c - 1]
+    else:
+        np.cumsum(cell_h, axis=0, out=cell_h)
+        np.cumsum(cell_g, axis=0, out=cell_g)
+    w3 = np.exp(-2.0 * end) * cell_g[-1]
+    w2 = cell_h[-1] - w3
+    w1 = None
+    if len(mids):
+        w1 = cell_h[mid_cells] - np.exp(-2.0 * np.asarray(mids))[..., None] * cell_g[mid_cells]
     return w1, w2, w3
+
+
+def _fresh_increments(h, mids, dim, rng):
+    """(W1, W2, W3) of fresh steps of length h, one row per chain.
+
+    mids has shape (chains, R), chain c's midpoint r lying in the cell
+    [r h/R, (r+1) h/R]; R = 0 means no midpoint.  Each chain's [0, h] is
+    split at the cell boundaries and its midpoints, interleaved, and one
+    (H, G) pair is drawn per cell as (chains, dim) blocks, cells left to
+    right.  Returns W1 of shape (R, chains, dim) and W2, W3 of shape
+    (chains, dim).
+    """
+    chains, R = mids.shape
+    edges = np.arange(max(R, 1) + 1) * (h / max(R, 1))
+    edges[-1] = h
+    mids = np.clip(mids, edges[:R], edges[1 : R + 1]).T
+    points = np.empty((len(edges) + R, chains))  # 0, m_1, h/R, m_2, ..., m_R, h
+    points[1 : 2 * R : 2] = mids
+    points[: 2 * R : 2] = edges[:R, None]
+    points[2 * R :] = edges[R:, None]
+    h_cells, g_cells = _sample_gh(np.diff(points, axis=0), dim, rng)
+    return _combine(h_cells, g_cells, points[:-1], h, slice(0, 2 * R, 2), mids)
 
 
 def step_increments(h, alpha, dim, rng) -> StepIncrements:
     """Sample (W1, W2, W3) for one step of length h with midpoint alpha*h.
 
-    The interval [0, h] is partitioned at alpha*h; each nonempty cell draws
-    its (H, G) pair, cells left to right.  For alpha in {0, 1} the empty
-    cell contributes exact zeros.
+    The interval [0, h] is partitioned at alpha*h; each cell draws its
+    (H, G) pair, cells left to right.  For alpha in {0, 1} the empty cell
+    contributes exact zeros.
     """
-    _require_length(h)
-    if not (0.0 <= alpha <= 1.0):
-        raise UlmcError(f"midpoint fraction must be in [0, 1], got {alpha}")
-    ah = alpha * h
-    zeros = np.zeros(dim)
-    cells = []
-    starts = []
-    if ah > 0.0:
-        left = sample_interval(ah, dim, rng)
-        cells.append((left.H, left.G))
-        starts.append(0.0)
-    if h - ah > 0.0:
-        right = sample_interval(h - ah, dim, rng)
-        cells.append((right.H, right.G))
-        starts.append(ah)
-    w1, w2, w3 = _assemble(cells, starts, ah if ah > 0.0 else None, h)
-    if ah == 0.0:
-        w1 = zeros
-    return StepIncrements(W1=np.asarray(w1), W2=np.asarray(w2), W3=np.asarray(w3))
+    return StepIncrements(*(w[0] for w in step_increments_batch(h, [alpha], dim, rng)))
 
 
 def step_increments_batch(h, alphas, dim, rng) -> StepIncrements:
-    """Vectorized step_increments for per-chain midpoints.
+    """step_increments for per-chain midpoints.
 
-    alphas has shape (k,); returned arrays have shape (k, dim).  The draw
-    layout differs from k scalar calls (both cells are drawn as batches),
-    but each row has exactly the scalar law.
+    alphas has shape (k,); returned arrays have shape (k, dim).  Each cell
+    is drawn as one (k, dim) block, so k = 1 reproduces step_increments.
     """
     _require_length(h)
     alphas = np.asarray(alphas, dtype=float)
-    ah = alphas * h
-    h_l, g_l = _sample_gh(ah, dim, rng)
-    h_r, g_r = _sample_gh(h - ah, dim, rng)
-    t = ah[:, None]
-    w1 = h_l - np.exp(-2.0 * t) * g_l
-    g_total = g_l + np.exp(2.0 * t) * g_r
-    w3 = np.exp(-2.0 * h) * g_total
-    w2 = (h_l + h_r) - w3
-    return StepIncrements(W1=w1, W2=w2, W3=w3)
+    if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
+        raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
+    w1, w2, w3 = _fresh_increments(h, (alphas * h)[:, None], dim, rng)
+    return StepIncrements(W1=w1[0], W2=w2, W3=w3)
 
 
 def exp_euler_increments(h, dim, rng) -> ExpEulerIncrements:
-    """Sample the (W2, W3) pair for one frozen-gradient step of length h."""
+    """Sample the (W2, W3) pair for one frozen-gradient step of length h.
+
+    dim is the coordinate count, or a (chains, d) shape for a batch.
+    """
     _require_length(h)
-    cell = sample_interval(h, dim, rng)
-    w3 = np.exp(-2.0 * h) * cell.G
-    return ExpEulerIncrements(W2=cell.H - w3, W3=w3)
+    batch = np.ndim(dim) == 1
+    chains, d = dim if batch else (1, dim)
+    _, w2, w3 = _fresh_increments(h, np.empty((chains, 0)), d, rng)
+    return ExpEulerIncrements(W2=w2, W3=w3) if batch else ExpEulerIncrements(w2[0], w3[0])
 
 
 def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
@@ -298,47 +317,24 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
 
     [0, h] is partitioned at the cell boundaries i*h/R interleaved with the
     midpoints alpha_i*h (alpha_i must lie in its cell [ (i-1)/R, i/R ]); one
-    (H, G) pair is drawn per nonempty cell, left to right, and all outputs
-    are linear combinations of those draws.
+    (H, G) pair is drawn per cell, left to right, and all outputs are
+    linear combinations of those draws.  alphas has shape (R,), or
+    (chains, R) for a batch, when W1 has shape (chains, R, dim).
     """
     _require_length(h)
     R = int(R)
     if R < 1:
         raise UlmcError(f"midpoint count must be >= 1, got {R}")
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (R,):
+    if alphas.ndim not in (1, 2) or alphas.shape[-1] != R:
         raise UlmcError(f"expected {R} midpoints, got shape {alphas.shape}")
-    delta = h / R
-    for i, a in enumerate(alphas):
-        if not ((i) / R - 1e-12 <= a <= (i + 1) / R + 1e-12):
-            raise UlmcError(
-                f"midpoint {i + 1} must lie in [{i / R}, {(i + 1) / R}], got {a}"
-            )
-
-    mids = alphas * h
-    boundaries = [0.0]
-    for i in range(R):
-        for point in (mids[i], (i + 1) * delta):
-            if point > boundaries[-1] + 1e-15:
-                boundaries.append(min(point, h))
-    boundaries[-1] = h
-
-    cells = []
-    starts = []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        cell = sample_interval(b - a, dim, rng)
-        cells.append((cell.H, cell.G))
-        starts.append(a)
-
-    zeros = np.zeros(dim)
-    w1_list = []
-    for i in range(R):
-        w1, _, _ = _assemble(cells, starts, mids[i], h)
-        w1_list.append(np.asarray(w1) if mids[i] > 0.0 else zeros.copy())
-    _, w2, w3 = _assemble(cells, starts, None, h)
-    return ParallelIncrements(
-        W1=np.stack(w1_list), W2=np.asarray(w2), W3=np.asarray(w3)
-    )
+    low = np.arange(R) / R
+    if np.any((alphas < low - 1e-12) | (alphas > low + 1.0 / R + 1e-12)):
+        raise UlmcError(f"midpoint i must lie in [(i-1)/{R}, i/{R}], got {alphas}")
+    w1, w2, w3 = _fresh_increments(h, np.atleast_2d(alphas * h), dim, rng)
+    if alphas.ndim == 1:
+        return ParallelIncrements(W1=w1[:, 0], W2=w2[0], W3=w3[0])
+    return ParallelIncrements(W1=np.moveaxis(w1, 0, 1), W2=w2, W3=w3)
 
 
 class BrownianPathStore:
@@ -404,16 +400,18 @@ class BrownianPathStore:
         if t_mid is not None:
             self.ensure(t_mid)
         # locate after all refinements; each split shifts later indices
-        i0 = self._locate(t0)
-        i1 = self._locate(t1)
-        im = self._locate(t_mid) if t_mid is not None else None
-        cells = [(c.H, c.G) for c in self._cells[i0:i1]]
-        starts = [b - self._breaks[i0] for b in self._breaks[i0:i1]]
-        end = self._breaks[i1] - self._breaks[i0]
-        w1_end = self._breaks[im] - self._breaks[i0] if im is not None else None
-        w1, w2, w3 = _assemble(cells, starts, w1_end, end)
+        i0, i1 = self._locate(t0), self._locate(t1)
+        k = self._locate(t_mid) - i0 if t_mid is not None else 0  # cells before t_mid
+        origin = self._breaks[i0]
+        cells = self._cells[i0:i1]
+        w1, w2, w3 = _combine(
+            np.array([c.H for c in cells]),
+            np.array([c.G for c in cells]),
+            np.array(self._breaks[i0:i1]) - origin,
+            self._breaks[i1] - origin,
+            slice(k - 1, k),
+            [self._breaks[i0 + k] - origin] if k else [],
+        )
         if t_mid is None:
-            w1 = None
-        elif np.isscalar(w1) and w1 == 0.0:
-            w1 = np.zeros(self.dim)
-        return w1, np.asarray(w2), np.asarray(w3)
+            return None, w2, w3
+        return (w1[0] if k else np.zeros(self.dim)), w2, w3

@@ -25,10 +25,8 @@ import numpy as np
 from . import __version__
 from .analysis import coupled_error_experiment, stationary_error_study
 from .errors import ConfigError, ScheduleError, UlmcError
-from .samplers import run_chain, schedule, schedule_parallel
+from .samplers import METHODS, _resolve_start, run_chain, schedule, schedule_parallel
 from .targets import load_libsvm, logistic_target, quadratic_target
-
-METHODS = ("rmm", "rmm_parallel", "euler_uld", "exp_euler_uld", "lmc")
 
 
 def _parse_floats(text):
@@ -164,26 +162,21 @@ def cmd_sample(args) -> int:
     else:
         raise ConfigError("give either --epsilon or both --h and --n-steps")
 
-    seeds = np.random.SeedSequence(args.seed).spawn(args.chains)
-    finals = []
-    grad_evals = 0
-    for chain_seq in seeds:
-        result = run_chain(
-            target, args.method, h, n_steps, chain_seq, R=r_mid, K=k_iters
-        )
-        finals.append(result.final.x)
-        grad_evals += result.grad_evals
+    start = np.tile(_resolve_start(target, None), (args.chains, 1))
+    result = run_chain(
+        target, args.method, h, n_steps, args.seed, R=r_mid, K=k_iters, x0=start
+    )
 
     with _open_out(args) as fh:
         fh.write(f"# ulmc {__version__}\n")
         fh.write(f"# config {_resolved_config(args)}\n")
         fh.write(
             f"# method={args.method} h={h!r} n_steps={n_steps} "
-            f"seed={args.seed} grad_evals={grad_evals}\n"
+            f"seed={args.seed} grad_evals={result.grad_evals}\n"
         )
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["chain"] + [f"x{i}" for i in range(target.dim)])
-        for i, x in enumerate(finals):
+        for i, x in enumerate(result.final.x):
             writer.writerow([i] + [repr(float(val)) for val in x])
     return 0
 

@@ -8,7 +8,10 @@ Steppers:
   overdamped_lmc_step      first-order Langevin baseline (no velocity)
 
 All steppers are pure functions of (state, randomness) with friction 2 and
-inverse mass u = 1/L.  The (epsilon, kappa) -> (h, N) rules live in
+inverse mass u = 1/L, and take a state of one chain, shape (d,), or of a
+batch of chains, shape (chains, d).  One loop, `_drive`, runs every method
+on a (chains, d) batch; `run_chain`, `rmm_run`, `parallel_rmm_run` and
+`rmm_run_ensemble` wrap it.  The (epsilon, kappa) -> (h, N) rules live in
 `schedule` and `schedule_parallel`.
 """
 
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import (
+from .brownian import (  # noqa: F401  (step_increments stays importable from here)
     ExpEulerIncrements,
     ParallelIncrements,
     StepIncrements,
@@ -33,6 +36,7 @@ from .errors import ConfigError, ScheduleError, UlmcError
 from .targets import GradientCounter, TargetSpec
 
 __all__ = [
+    "METHODS",
     "SamplerState",
     "Schedule",
     "RunResult",
@@ -57,6 +61,8 @@ __all__ = [
 # experiments use.
 H_MAX_SCHEDULE = 0.05
 H_MAX_STEPPER = 1.0
+
+METHODS = ("rmm", "rmm_parallel", "euler_uld", "exp_euler_uld", "lmc")
 
 
 @dataclass(frozen=True)
@@ -129,12 +135,26 @@ def _check_step(h, state: SamplerState, target: TargetSpec):
         )
 
 
-def _rmm_update(x, v, h, alpha, grad_at, inc, u):
-    """Shared randomized-midpoint arithmetic; alpha may be scalar or column.
+def rmm_step(
+    state: SamplerState,
+    target: TargetSpec,
+    h: float,
+    alpha,
+    inc: StepIncrements,
+) -> SamplerState:
+    """One randomized-midpoint step of length h with midpoint fraction alpha.
 
-    grad_at is called exactly twice: at x and at the midpoint estimate.
+    alpha is a scalar, or one fraction per chain for a (chains, d) state.
+    inc must have been generated for the same (h, alpha).  Uses exactly two
+    gradient evaluations: at x and at the midpoint estimate.
     """
-    ah = alpha * h
+    _check_step(h, state, target)
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
+        raise UlmcError(f"midpoint fraction must be in [0, 1], got {alpha}")
+    u = 1.0 / target.smoothness
+    x, v = state.x, state.v
+    ah = alpha[..., None] * h if alpha.ndim else alpha * h
     decay_mid = np.exp(-2.0 * ah)
     decay_full = math.exp(-2.0 * h)
     tail = np.exp(-2.0 * (h - ah))
@@ -142,10 +162,10 @@ def _rmm_update(x, v, h, alpha, grad_at, inc, u):
     x_mid = (
         x
         + 0.5 * (1.0 - decay_mid) * v
-        - 0.5 * u * (ah - 0.5 * (1.0 - decay_mid)) * grad_at(x)
+        - 0.5 * u * (ah - 0.5 * (1.0 - decay_mid)) * target.gradient(x)
         + math.sqrt(u) * inc.W1
     )
-    grad_mid = grad_at(x_mid)
+    grad_mid = target.gradient(x_mid)
     x_new = (
         x
         + 0.5 * (1.0 - decay_full) * v
@@ -153,28 +173,6 @@ def _rmm_update(x, v, h, alpha, grad_at, inc, u):
         + math.sqrt(u) * inc.W2
     )
     v_new = v * decay_full - u * h * tail * grad_mid + 2.0 * math.sqrt(u) * inc.W3
-    return x_new, v_new
-
-
-def rmm_step(
-    state: SamplerState,
-    target: TargetSpec,
-    h: float,
-    alpha: float,
-    inc: StepIncrements,
-) -> SamplerState:
-    """One randomized-midpoint step of length h with midpoint fraction alpha.
-
-    inc must have been generated for the same (h, alpha).  Uses exactly two
-    gradient evaluations.
-    """
-    _check_step(h, state, target)
-    if not (0.0 <= alpha <= 1.0):
-        raise UlmcError(f"midpoint fraction must be in [0, 1], got {alpha}")
-    u = 1.0 / target.smoothness
-    x_new, v_new = _rmm_update(
-        state.x, state.v, h, alpha, target.gradient, inc, u
-    )
     return SamplerState(x=x_new, v=v_new, step=state.step + 1)
 
 
@@ -184,6 +182,47 @@ def _resolve_start(target: TargetSpec, x0):
     if target.minimizer is None:
         raise ConfigError("target has no minimizer and no start point was given")
     return np.asarray(target.minimizer, dtype=float)
+
+
+def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
+    """The one step loop: n_steps of one method on a (chains, d) batch.
+
+    Chains start at x with zero velocity.  Each step draws, for the whole
+    batch, the midpoint fractions first and then the Gaussians, from the
+    single stream of the seed.  After each step the state must be finite;
+    every record_every steps record(step, x, v) is called.  Returns the
+    final state and the audited gradient count.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    if n_steps < 0:
+        raise ScheduleError(f"iteration count must be >= 0, got {n_steps}")
+    counter = GradientCounter(target)
+    counted = counter.wrapped()
+    rng = np.random.default_rng(seed)
+    state = SamplerState(x=x, v=np.zeros_like(x), step=0)
+    cells = np.arange(R)
+    for n in range(n_steps):
+        if method == "rmm":
+            alphas = rng.uniform(size=x.shape[0])
+            inc = step_increments_batch(h, alphas, target.dim, rng)
+            state = rmm_step(state, counted, h, alphas, inc)
+        elif method == "rmm_parallel":
+            alphas = (cells + rng.uniform(size=(x.shape[0], R))) / R
+            incs = parallel_step_increments(h, R, alphas, target.dim, rng)
+            state = parallel_rmm_step(state, counted, h, R, K, alphas, incs)
+        elif method == "euler_uld":
+            state = euler_uld_step(state, counted, h, rng)
+        elif method == "exp_euler_uld":
+            inc = exp_euler_increments(h, x.shape, rng)
+            state = exponential_euler_uld_step(state, counted, h, inc)
+        else:
+            state = overdamped_lmc_step(state, counted, h, rng)
+        if not (np.isfinite(state.x).all() and np.isfinite(state.v).all()):
+            raise UlmcError(f"{method} chain state is not finite after step {n + 1}")
+        if record_every and (n + 1) % record_every == 0:
+            record(n + 1, state.x, state.v)
+    return state, counter.count
 
 
 def run_chain(
@@ -199,42 +238,24 @@ def run_chain(
 ) -> RunResult:
     """Drive one chain of any method for n_steps steps of size h.
 
-    Methods: rmm, rmm_parallel, euler_uld, exp_euler_uld, lmc.  Starts at
-    the target minimizer (or x0) with zero velocity.  Randomness per step is
-    drawn in a fixed order (midpoint fractions first, then Gaussians), so a
-    run is reproducible from the seed alone.  grad_evals reports the audited
-    oracle count.
+    Methods: see METHODS.  Starts at the target minimizer (or x0) with zero
+    velocity; an x0 of shape (chains, d) runs that batch of chains from one
+    stream, and the result then holds (chains, d) arrays.  Randomness per
+    step is drawn in a fixed order (midpoint fractions first, then
+    Gaussians), so a run is reproducible from the seed alone.  grad_evals
+    reports the audited oracle count.
     """
-    if method not in ("rmm", "rmm_parallel", "euler_uld", "exp_euler_uld", "lmc"):
-        raise ConfigError(f"unknown method {method!r}")
-    if n_steps < 0:
-        raise ScheduleError(f"iteration count must be >= 0, got {n_steps}")
-    counter = GradientCounter(target)
-    counted = counter.wrapped()
-    rng = np.random.default_rng(seed)
     x = _resolve_start(target, x0)
-    state = SamplerState(x=x, v=np.zeros_like(x), step=0)
-    history = [(0, state.x.copy(), state.v.copy())] if record_every else None
-    cells = np.arange(R)
-    for n in range(n_steps):
-        if method == "rmm":
-            alpha = rng.uniform()
-            inc = step_increments(h, alpha, target.dim, rng)
-            state = rmm_step(state, counted, h, alpha, inc)
-        elif method == "rmm_parallel":
-            alphas = (cells + rng.uniform(size=R)) / R
-            incs = parallel_step_increments(h, R, alphas, target.dim, rng)
-            state = parallel_rmm_step(state, counted, h, R, K, alphas, incs)
-        elif method == "euler_uld":
-            state = euler_uld_step(state, counted, h, rng)
-        elif method == "exp_euler_uld":
-            inc = exp_euler_increments(h, target.dim, rng)
-            state = exponential_euler_uld_step(state, counted, h, inc)
-        else:
-            state = overdamped_lmc_step(state, counted, h, rng)
-        if record_every and (n + 1) % record_every == 0:
-            history.append((n + 1, state.x.copy(), state.v.copy()))
-    return RunResult(final=state, grad_evals=counter.count, history=history)
+    history = [(0, x.copy(), np.zeros_like(x))] if record_every else None
+
+    def record(step, xs, vs):
+        history.append((step, xs.reshape(x.shape).copy(), vs.reshape(x.shape).copy()))
+
+    state, grad_evals = _drive(
+        target, method, h, n_steps, seed, np.atleast_2d(x), R, K, record_every, record
+    )
+    final = SamplerState(state.x.reshape(x.shape), state.v.reshape(x.shape), state.step)
+    return RunResult(final=final, grad_evals=grad_evals, history=history)
 
 
 def rmm_run(
@@ -245,22 +266,7 @@ def rmm_run(
     record_every: Optional[int] = None,
 ) -> RunResult:
     """Run one randomized-midpoint chain under a resolved schedule."""
-    return run_chain(
-        target,
-        "rmm",
-        sched.h,
-        sched.N,
-        seed,
-        x0=x0,
-        record_every=record_every,
-    )
-
-
-def _ensemble_moments(x, v):
-    z = np.concatenate([x, v], axis=1)
-    mean = z.mean(axis=0)
-    cov = np.cov(z, rowvar=False)
-    return mean, cov
+    return run_chain(target, "rmm", sched.h, sched.N, seed, x0=x0, record_every=record_every)
 
 
 def rmm_run_ensemble(
@@ -273,37 +279,33 @@ def rmm_run_ensemble(
 ) -> EnsembleResult:
     """Propagate `chains` independent randomized-midpoint chains in lockstep.
 
-    Statistically identical to `chains` rmm_run calls (independent midpoint
-    fractions and increments per chain) but draws per step across the whole
-    ensemble, which is much faster.  Records empirical (x, v) moments every
-    record_every steps when requested.
+    The same run as run_chain(target, "rmm", ...) from `chains` copies of
+    the start: each step draws for the whole ensemble from one stream.
+    Records empirical (x, v) moments, not states, every record_every steps
+    when requested.
     """
-    counter = GradientCounter(target)
-    counted = counter.wrapped()
-    rng = np.random.default_rng(seed)
+    result = EnsembleResult(x=None, v=None, grad_evals=0)
+
+    def record(step, x, v):
+        z = np.concatenate([x, v], axis=1)
+        result.checkpoints.append((step, z.mean(axis=0), np.cov(z, rowvar=False)))
+
     x = np.tile(_resolve_start(target, x0), (chains, 1))
-    v = np.zeros_like(x)
-    u = 1.0 / target.smoothness
-    result = EnsembleResult(x=x, v=v, grad_evals=0)
-    for n in range(sched.N):
-        alphas = rng.uniform(size=chains)
-        inc = step_increments_batch(sched.h, alphas, target.dim, rng)
-        x, v = _rmm_update(
-            x, v, sched.h, alphas[:, None], counted.gradient, inc, u
-        )
-        if record_every and (n + 1) % record_every == 0:
-            result.checkpoints.append((n + 1, *_ensemble_moments(x, v)))
-    result.x, result.v = x, v
-    result.grad_evals = counter.count
+    state, result.grad_evals = _drive(
+        target, "rmm", sched.h, sched.N, seed, x, 1, 2, record_every, record
+    )
+    result.x, result.v = state.x, state.v
     return result
 
 
 def midpoint_coefficient(theta, a, b):
-    """int_a^b (1 - e^{-2(theta - s)}) ds for a <= b <= theta, in closed form."""
-    b = min(b, theta)
-    if b <= a:
-        return 0.0
-    return (b - a) - 0.5 * (math.exp(-2.0 * (theta - b)) - math.exp(-2.0 * (theta - a)))
+    """int_a^b (1 - e^{-2(theta - s)}) ds for a <= b <= theta, in closed form.
+
+    b is clipped to theta; elementwise in its arguments.
+    """
+    b = np.minimum(b, theta)
+    closed = (b - a) - 0.5 * (np.exp(-2.0 * (theta - b)) - np.exp(-2.0 * (theta - a)))
+    return np.where(b > a, closed, 0.0)
 
 
 def parallel_rmm_step(
@@ -318,51 +320,54 @@ def parallel_rmm_step(
     """One R-midpoint step: K-1 fixed-point sweeps, then the combined update.
 
     Each sweep evaluates the gradient at the R current midpoint estimates
-    (one batched oracle call, so the sweep parallelizes); the final update
-    spends R more evaluations, R*K in total.  With R=1, K=2 this reproduces
-    rmm_step exactly given the same underlying draws.
+    of every chain (one batched oracle call on a (chains * R, d) array, so
+    the sweep parallelizes); the final update spends R more evaluations,
+    R*K per chain in total.  alphas has shape (R,), or (chains, R) for a
+    (chains, d) state.  With R=1, K=2 this reproduces rmm_step exactly given
+    the same underlying draws.
     """
     _check_step(h, state, target)
     R = int(R)
     K = int(K)
     if K < 2:
         raise ScheduleError(f"fixed-point depth must be >= 2, got {K}")
+    x, v = state.x, state.v
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (R,):
+    if alphas.shape != x.shape[:-1] + (R,):
         raise UlmcError(f"expected {R} midpoint fractions, got {alphas.shape}")
-    if incs.W1.shape != (R, target.dim):
+    if incs.W1.shape != x.shape[:-1] + (R, target.dim):
         raise UlmcError("increments were generated for a different R or d")
 
     u = 1.0 / target.smoothness
     delta = h / R
     mids = alphas * h  # alpha_i * h, one per cell
 
-    coeff = np.zeros((R, R))
-    for i in range(R):
-        for j in range(i + 1):
-            coeff[i, j] = midpoint_coefficient(mids[i], j * delta, (j + 1) * delta)
+    cell = np.arange(R) * delta
+    coeff = np.tril(midpoint_coefficient(mids[..., None], cell, cell + delta))
+
+    def gradients(points):
+        return target.gradient(points.reshape(-1, target.dim)).reshape(points.shape)
 
     base = (
-        state.x[None, :]
-        + 0.5 * (1.0 - np.exp(-2.0 * mids))[:, None] * state.v[None, :]
+        x[..., None, :]
+        + 0.5 * (1.0 - np.exp(-2.0 * mids))[..., None] * v[..., None, :]
         + math.sqrt(u) * incs.W1
     )
-    estimates = np.tile(state.x, (R, 1))
+    estimates = np.broadcast_to(x[..., None, :], base.shape)
     for _ in range(K - 1):
-        grads = target.gradient(estimates)
-        estimates = base - 0.5 * u * (coeff @ grads)
+        estimates = base - 0.5 * u * (coeff @ gradients(estimates))
 
-    grads = target.gradient(estimates)
-    tail = np.exp(-2.0 * (h - mids))
+    grads = gradients(estimates)
+    tail = np.exp(-2.0 * (h - mids))[..., None, :]
     x_new = (
-        state.x
-        + 0.5 * (1.0 - math.exp(-2.0 * h)) * state.v
-        - 0.5 * u * delta * ((1.0 - tail) @ grads)
+        x
+        + 0.5 * (1.0 - math.exp(-2.0 * h)) * v
+        - 0.5 * u * delta * ((1.0 - tail) @ grads)[..., 0, :]
         + math.sqrt(u) * incs.W2
     )
     v_new = (
-        state.v * math.exp(-2.0 * h)
-        - u * delta * (tail @ grads)
+        v * math.exp(-2.0 * h)
+        - u * delta * (tail @ grads)[..., 0, :]
         + 2.0 * math.sqrt(u) * incs.W3
     )
     return SamplerState(x=x_new, v=v_new, step=state.step + 1)

@@ -3,6 +3,9 @@
 import json
 import math
 
+import numpy as np
+
+import ulmc
 from ulmc.cli import main
 
 
@@ -173,3 +176,27 @@ class TestConfigFile:
         cfg = tmp_path / "bad.json"
         cfg.write_text("[1,2,3]")
         assert run_cli("sample", "--config", str(cfg)) == 2
+
+
+class TestSampleDriver:
+    def test_rows_equal_the_library_ensemble(self, tmp_path):
+        out = tmp_path / "samples.csv"
+        assert run_cli(
+            "sample", "--quad-diag", "1,4", "--method", "rmm", "--h", "0.05",
+            "--n-steps", "30", "--chains", "5", "--seed", "4", "--out", str(out),
+        ) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        xs = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        target = ulmc.quadratic_target(np.array([1.0, 4.0]), np.zeros(2))
+        sched = ulmc.Schedule(h=0.05, N=30, u=1.0 / target.smoothness)
+        np.testing.assert_array_equal(xs, ulmc.rmm_run_ensemble(target, sched, 5, 4).x)
+
+    def test_divergent_run_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "samples.csv"
+        code = run_cli(
+            "sample", "--quad-diag", "1,40", "--method", "lmc", "--h", "0.9",
+            "--n-steps", "400", "--chains", "2", "--out", str(out),
+        )
+        assert code == 3
+        assert "lmc" in capsys.readouterr().err
+        assert not out.exists()

@@ -462,3 +462,73 @@ class TestRunChain:
         target = ulmc.quadratic_target([1.0], [0.0])
         result = run_chain(target, "rmm", 0.05, 10, seed=3, record_every=5)
         assert [s for s, _, _ in result.history] == [0, 5, 10]
+
+
+def hand_loop(target, method, h, n_steps, seed, R, K):
+    """One chain stepped by the public steppers and increment samplers."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(target.minimizer, dtype=float)
+    state = SamplerState(x, np.zeros_like(x))
+    for _ in range(n_steps):
+        if method == "rmm":
+            alpha = rng.uniform()
+            inc = ulmc.step_increments(h, alpha, target.dim, rng)
+            state = ulmc.rmm_step(state, target, h, alpha, inc)
+        elif method == "rmm_parallel":
+            alphas = (np.arange(R) + rng.uniform(size=R)) / R
+            incs = ulmc.parallel_step_increments(h, R, alphas, target.dim, rng)
+            state = ulmc.parallel_rmm_step(state, target, h, R, K, alphas, incs)
+        elif method == "euler_uld":
+            state = ulmc.euler_uld_step(state, target, h, rng)
+        elif method == "exp_euler_uld":
+            inc = ulmc.brownian.exp_euler_increments(h, target.dim, rng)
+            state = ulmc.exponential_euler_uld_step(state, target, h, inc)
+        else:
+            state = ulmc.overdamped_lmc_step(state, target, h, rng)
+    return state
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
+    def test_run_chain_equals_hand_loop(self, method):
+        target = ulmc.quadratic_target([1.0, 4.0, 9.0], [0.3, -0.2, 0.1])
+        result = run_chain(target, method, 0.05, 120, seed=31, R=3, K=3)
+        expected = hand_loop(target, method, 0.05, 120, 31, R=3, K=3)
+        assert result.final.x.shape == (3,)
+        np.testing.assert_allclose(result.final.x, expected.x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(result.final.v, expected.v, rtol=1e-12, atol=1e-12)
+        assert result.final.step == expected.step == 120
+
+    @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
+    def test_batch_start_runs_a_batch(self, method):
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        x0 = np.tile([0.5, -0.5], (6, 1))
+        result = run_chain(target, method, 0.05, 10, seed=2, R=2, K=3, x0=x0,
+                           record_every=5)
+        assert result.final.x.shape == result.final.v.shape == (6, 2)
+        assert [s for s, _, _ in result.history] == [0, 5, 10]
+        assert all(x.shape == (6, 2) for _, x, _ in result.history)
+        # chains draw different noise from the one stream
+        assert len(np.unique(result.final.x[:, 0])) == 6
+
+    def test_batched_parallel_audits_rk_gradients_per_chain_step(self):
+        target = ulmc.quadratic_target([1.0, 3.0], [0.0, 0.0])
+        shapes = []
+
+        def gradient(x):
+            shapes.append(np.shape(x))
+            return target.gradient(x)
+
+        spy = TargetSpec(dim=2, gradient=gradient, smoothness=target.smoothness,
+                         strong_convexity=target.strong_convexity,
+                         minimizer=target.minimizer)
+        chains, r, k, n = 5, 3, 4, 7
+        result = run_chain(spy, "rmm_parallel", 0.05, n, seed=0, R=r, K=k,
+                           x0=np.zeros((chains, 2)))
+        assert result.grad_evals == chains * r * k * n
+        assert set(shapes) == {(chains * r, 2)}
+
+    def test_divergence_raises_naming_method_and_step(self):
+        target = ulmc.quadratic_target([1.0, 40.0], [0.0, 0.0])
+        with pytest.raises(ulmc.UlmcError, match=r"lmc .* not finite after step \d+"):
+            run_chain(target, "lmc", 0.9, 400, seed=0, x0=np.zeros((2, 2)))
