@@ -42,6 +42,7 @@ __all__ = [
     "step_increments",
     "step_increments_batch",
     "exp_euler_increments",
+    "exp_euler_increments_batch",
     "parallel_step_increments",
     "BrownianPathStore",
 ]
@@ -147,15 +148,18 @@ def _sample_gh(lengths, dim, rng):
     """
     lengths = np.asarray(lengths, dtype=float)
     t = lengths[..., None]
+    var_h, cov, _ = gh_covariance(t)
+    scale_h, scale_g = np.sqrt(var_h), np.sqrt(_residual_var(t))
+    gain = np.divide(cov, t, out=np.ones_like(t), where=t > 0.0)
     h = np.empty(lengths.shape + (dim,))
     g = np.empty_like(h)
-    for h_cell, g_cell in zip(h, g):
-        rng.standard_normal(out=h_cell)
-        rng.standard_normal(out=g_cell)
-    var_h, cov, _ = gh_covariance(t)
-    h *= np.sqrt(var_h)
-    g *= np.sqrt(_residual_var(t))
-    g += np.divide(cov, t, out=np.ones_like(t), where=t > 0.0) * h
+    # cell by cell, so temporaries stay one (chains, dim) block in size
+    for c in range(len(h)):
+        rng.standard_normal(out=h[c])
+        rng.standard_normal(out=g[c])
+        h[c] *= scale_h[c]
+        g[c] *= scale_g[c]
+        g[c] += gain[c] * h[c]
     return h, g
 
 
@@ -222,36 +226,30 @@ def split(parent: IntervalStats, at, rng):
     return left, right
 
 
-def _combine(cell_h, cell_g, starts, end, mid_cells, mids):
+def _combine(cell_h, cell_g, points, mid_ends):
     """(W1, W2, W3) of one step as weighted sums of its cells' (H, G).
 
-    cell_h, cell_g have shape (cells, ..., dim): consecutive cells covering
-    [0, end], cell c starting at starts[c] (shape (cells, ...), starts[0]
-    is 0).  W1[r] ends at mids[r], the end of the r-th cell the slice
-    mid_cells selects; W1 is None when mids is empty.  Every cell's G is
-    re-anchored at the step origin, as in `compose`, so each output is a
-    prefix sum times one exponential weight.  Overwrites cell_h and cell_g.
+    cell_h, cell_g (cells, ..., dim) hold consecutive cells with edges
+    points (cells + 1, ...).  W1 lists, per index i in mid_ends, W2 of the
+    step cut short at points[i].  Sums run in place segment by segment
+    between those points, G weighted to each segment's end, so every weight
+    is e^{-2 span} <= 1 and no span overflows.  Overwrites cell_h, cell_g.
     """
-    cell_g[1:] *= np.exp(2.0 * np.asarray(starts)[1:])[..., None]  # cell 0 starts at 0
-    # Prefix sums in place.  np.cumsum walks the cell axis entry by entry,
-    # while adding block to block costs one interpreter round trip per
-    # cell: the loop wins for wide blocks (fresh ensembles), cumsum for many
-    # narrow cells (path-store steps).  The two break even near 200 entries
-    # per block (measured on a 2-vCPU x86_64 VM, numpy 2.4).
-    cells, width = len(cell_h), cell_h[0].size
-    if (cells - 1) * 200 < cells * width:
-        for c in range(1, cells):
-            cell_h[c] += cell_h[c - 1]
-            cell_g[c] += cell_g[c - 1]
-    else:
-        np.cumsum(cell_h, axis=0, out=cell_h)
-        np.cumsum(cell_g, axis=0, out=cell_g)
-    w3 = np.exp(-2.0 * end) * cell_g[-1]
-    w2 = cell_h[-1] - w3
-    w1 = None
-    if len(mids):
-        w1 = cell_h[mid_cells] - np.exp(-2.0 * np.asarray(mids))[..., None] * cell_g[mid_cells]
-    return w1, w2, w3
+    w2 = []
+    for last, end in zip((0, *mid_ends), (*mid_ends, len(cell_h))):
+        if end == last:  # a midpoint at the end of the step
+            w2.append(w2[-1])
+            continue
+        seg_h, seg_g = cell_h[last:end], cell_g[last:end]
+        seg_g *= np.exp(-2.0 * (points[end] - points[last:end]))[..., None]
+        if end - last > 1:
+            seg_h[-1], seg_g[-1] = seg_h.sum(axis=0), seg_g.sum(axis=0)
+        if last:  # add the sums up to this segment's start
+            seg_h[-1] += cell_h[last - 1]
+            cell_g[last - 1] *= np.exp(-2.0 * (points[end] - points[last]))[..., None]
+            seg_g[-1] += cell_g[last - 1]
+        w2.append(seg_h[-1] - seg_g[-1])
+    return w2[:-1], w2[-1], cell_g[-1].copy()
 
 
 def _fresh_increments(h, mids, dim, rng):
@@ -261,19 +259,18 @@ def _fresh_increments(h, mids, dim, rng):
     [r h/R, (r+1) h/R]; R = 0 means no midpoint.  Each chain's [0, h] is
     split at the cell boundaries and its midpoints, interleaved, and one
     (H, G) pair is drawn per cell as (chains, dim) blocks, cells left to
-    right.  Returns W1 of shape (R, chains, dim) and W2, W3 of shape
+    right.  Returns W1 as a list of R arrays and W2, W3, each of shape
     (chains, dim).
     """
     chains, R = mids.shape
     edges = np.arange(max(R, 1) + 1) * (h / max(R, 1))
     edges[-1] = h
-    mids = np.clip(mids, edges[:R], edges[1 : R + 1]).T
     points = np.empty((len(edges) + R, chains))  # 0, m_1, h/R, m_2, ..., m_R, h
-    points[1 : 2 * R : 2] = mids
+    points[1 : 2 * R : 2] = np.clip(mids, edges[:R], edges[1 : R + 1]).T
     points[: 2 * R : 2] = edges[:R, None]
     points[2 * R :] = edges[R:, None]
     h_cells, g_cells = _sample_gh(np.diff(points, axis=0), dim, rng)
-    return _combine(h_cells, g_cells, points[:-1], h, slice(0, 2 * R, 2), mids)
+    return _combine(h_cells, g_cells, points, range(1, 2 * R, 2))
 
 
 def step_increments(h, alpha, dim, rng) -> StepIncrements:
@@ -301,15 +298,15 @@ def step_increments_batch(h, alphas, dim, rng) -> StepIncrements:
 
 
 def exp_euler_increments(h, dim, rng) -> ExpEulerIncrements:
-    """Sample the (W2, W3) pair for one frozen-gradient step of length h.
+    """Sample the (W2, W3) pair for one frozen-gradient step of length h."""
+    return ExpEulerIncrements(*(w[0] for w in exp_euler_increments_batch(h, 1, dim, rng)))
 
-    dim is the coordinate count, or a (chains, d) shape for a batch.
-    """
+
+def exp_euler_increments_batch(h, chains, dim, rng) -> ExpEulerIncrements:
+    """exp_euler_increments for `chains` chains, as (chains, dim) arrays."""
     _require_length(h)
-    batch = np.ndim(dim) == 1
-    chains, d = dim if batch else (1, dim)
-    _, w2, w3 = _fresh_increments(h, np.empty((chains, 0)), d, rng)
-    return ExpEulerIncrements(W2=w2, W3=w3) if batch else ExpEulerIncrements(w2[0], w3[0])
+    _, w2, w3 = _fresh_increments(h, np.empty((chains, 0)), dim, rng)
+    return ExpEulerIncrements(W2=w2, W3=w3)
 
 
 def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
@@ -332,9 +329,10 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     if np.any((alphas < low - 1e-12) | (alphas > low + 1.0 / R + 1e-12)):
         raise UlmcError(f"midpoint i must lie in [(i-1)/{R}, i/{R}], got {alphas}")
     w1, w2, w3 = _fresh_increments(h, np.atleast_2d(alphas * h), dim, rng)
+    w1 = np.stack(w1, axis=1)
     if alphas.ndim == 1:
-        return ParallelIncrements(W1=w1[:, 0], W2=w2[0], W3=w3[0])
-    return ParallelIncrements(W1=np.moveaxis(w1, 0, 1), W2=w2, W3=w3)
+        return ParallelIncrements(W1=w1[0], W2=w2[0], W3=w3[0])
+    return ParallelIncrements(W1=w1, W2=w2, W3=w3)
 
 
 class BrownianPathStore:
@@ -402,15 +400,12 @@ class BrownianPathStore:
         # locate after all refinements; each split shifts later indices
         i0, i1 = self._locate(t0), self._locate(t1)
         k = self._locate(t_mid) - i0 if t_mid is not None else 0  # cells before t_mid
-        origin = self._breaks[i0]
         cells = self._cells[i0:i1]
         w1, w2, w3 = _combine(
             np.array([c.H for c in cells]),
             np.array([c.G for c in cells]),
-            np.array(self._breaks[i0:i1]) - origin,
-            self._breaks[i1] - origin,
-            slice(k - 1, k),
-            [self._breaks[i0 + k] - origin] if k else [],
+            np.array(self._breaks[i0 : i1 + 1]),
+            [k] if k else [],
         )
         if t_mid is None:
             return None, w2, w3

@@ -23,11 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import (  # noqa: F401  (step_increments stays importable from here)
+from .brownian import (  # noqa: F401  (one-chain adapters stay importable here)
     ExpEulerIncrements,
     ParallelIncrements,
     StepIncrements,
     exp_euler_increments,
+    exp_euler_increments_batch,
     parallel_step_increments,
     step_increments,
     step_increments_batch,
@@ -214,7 +215,7 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
         elif method == "euler_uld":
             state = euler_uld_step(state, counted, h, rng)
         elif method == "exp_euler_uld":
-            inc = exp_euler_increments(h, x.shape, rng)
+            inc = exp_euler_increments_batch(h, x.shape[0], target.dim, rng)
             state = exponential_euler_uld_step(state, counted, h, inc)
         else:
             state = overdamped_lmc_step(state, counted, h, rng)
@@ -304,8 +305,14 @@ def midpoint_coefficient(theta, a, b):
     b is clipped to theta; elementwise in its arguments.
     """
     b = np.minimum(b, theta)
-    closed = (b - a) - 0.5 * (np.exp(-2.0 * (theta - b)) - np.exp(-2.0 * (theta - a)))
-    return np.where(b > a, closed, 0.0)
+    # built in place: a batched parallel step passes (chains, R, R) arrays
+    closed, far = (np.asarray(-2.0 * (theta - c)) for c in (b, a))
+    np.exp(closed, out=closed)
+    closed -= np.exp(far, out=far)
+    closed *= -0.5
+    closed += np.subtract(b, a, out=far)
+    closed[b <= a] = 0.0
+    return closed
 
 
 def parallel_rmm_step(
@@ -343,7 +350,8 @@ def parallel_rmm_step(
     mids = alphas * h  # alpha_i * h, one per cell
 
     cell = np.arange(R) * delta
-    coeff = np.tril(midpoint_coefficient(mids[..., None], cell, cell + delta))
+    coeff = midpoint_coefficient(mids[..., None], cell, cell + delta)
+    coeff[..., ~np.tri(R, dtype=bool)] = 0.0
 
     def gradients(points):
         return target.gradient(points.reshape(-1, target.dim)).reshape(points.shape)

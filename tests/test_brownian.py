@@ -271,6 +271,19 @@ class TestPathStore:
         for arr in (w1, w2, w3):
             assert np.all(np.isfinite(arr))
 
+    def test_long_spans_stay_finite(self):
+        rng = np.random.default_rng(19)
+        store = BrownianPathStore(1000.0, 2, rng)
+        w1, w2, w3 = store.increments(0.0, 400.0, 399.5)
+        for arr in (w1, w2, w3):
+            assert np.all(np.isfinite(arr))
+        # W1 up to the midpoint is W2 of the step that ends there, and W3
+        # restarts at any breakpoint s with the decay e^{-2(t1 - s)}
+        _, w2_mid, w3_mid = store.increments(0.0, 399.5)
+        _, _, w3_tail = store.increments(399.5, 400.0)
+        np.testing.assert_allclose(w1, w2_mid, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w3, np.exp(-1.0) * w3_mid + w3_tail, rtol=1e-12, atol=1e-12)
+
     def test_refinement_preserves_increments(self):
         rng = np.random.default_rng(18)
         store = BrownianPathStore(2.0, 3, rng)
