@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .brownian import BrownianPathStore, ExpEulerIncrements, StepIncrements
+from .brownian import BrownianPathStore, ExpEulerIncrements, StepIncrements, _exp_tail
 from .errors import ConfigError, UlmcError, UnsupportedTargetError
 from .samplers import (
     SamplerState,
@@ -144,31 +144,13 @@ def gaussian_w2(mean1, cov1, mean2, cov2, m: Optional[float] = None) -> W2Result
 
 
 def _weight_sq_integral(theta):
-    """int_0^theta (1 - e^{-2(theta-s)})^2 ds, stable for small theta.
+    """int_0^theta (1 - e^{-2(theta-s)})^2 ds = E_3(-2 theta) - E_3(-4 theta)/4.
 
-    The closed form theta - (1-e^{-2 theta}) + (1-e^{-4 theta})/4 cancels
-    two leading orders, so a Taylor series takes over below the crossover.
+    The closed form theta - (1-e^{-2 theta}) + (1-e^{-4 theta})/4 cancels two
+    leading orders; the tails E_k of `_exp_tail` do not.
     """
     theta = np.asarray(theta, dtype=float)
-    exact = theta + np.expm1(-2.0 * theta) - 0.25 * np.expm1(-4.0 * theta)
-    coeffs = (
-        4.0 / 3.0,
-        -2.0,
-        28.0 / 15.0,
-        -4.0 / 3.0,
-        248.0 / 315.0,
-        -2.0 / 5.0,
-        508.0 / 2835.0,
-        -68.0 / 945.0,
-        584.0 / 22275.0,
-        -124.0 / 14175.0,
-        16376.0 / 6081075.0,
-    )
-    series = np.zeros_like(theta)
-    for c in reversed(coeffs):
-        series = series * theta + c
-    series = series * theta ** 3
-    return np.where(theta < 0.05, series, exact)
+    return _exp_tail(-2.0 * theta, 3) - 0.25 * _exp_tail(-4.0 * theta, 3)
 
 
 def w_covariance(h, alpha):
@@ -176,25 +158,21 @@ def w_covariance(h, alpha):
     fraction alpha, in closed form (elementwise in alpha)."""
     alpha = np.asarray(alpha, dtype=float)
     theta = alpha * h
-    g = h - theta
-    e2g = np.exp(-2.0 * g)
-    one_m_e2t = -np.expm1(-2.0 * theta)
-    one_m_e4t = -np.expm1(-4.0 * theta)
-    var1 = _weight_sq_integral(theta)
-    var2 = _weight_sq_integral(np.asarray(h, dtype=float)) * np.ones_like(theta)
-    var3 = 0.25 * -np.expm1(-4.0 * h) * np.ones_like(theta)
-    cov12 = theta - 0.5 * one_m_e2t - e2g * (0.5 * one_m_e2t - 0.25 * one_m_e4t)
-    cov13 = e2g * (0.5 * one_m_e2t - 0.25 * one_m_e4t)
-    cov23 = (0.5 * -np.expm1(-2.0 * h) - 0.25 * -np.expm1(-4.0 * h)) * np.ones_like(
-        theta
-    )
+    e2g = np.exp(-2.0 * (h - theta))
+    ones = np.ones_like(theta)
     cov = np.empty(theta.shape + (3, 3))
-    cov[..., 0, 0] = var1
-    cov[..., 1, 1] = var2
-    cov[..., 2, 2] = var3
-    cov[..., 0, 1] = cov[..., 1, 0] = cov12
+    cov[..., 0, 0] = _weight_sq_integral(theta)
+    cov[..., 1, 1] = _weight_sq_integral(h) * ones
+    cov[..., 2, 2] = 0.25 * -np.expm1(-4.0 * h) * ones
+    # (1 - e^{-2x})/2 - (1 - e^{-4x})/4 = E_2(-4x)/4 - E_2(-2x)/2
+    cross_theta, cross_h = (
+        0.25 * _exp_tail(-4.0 * x, 2) - 0.5 * _exp_tail(-2.0 * x, 2) for x in (theta, h)
+    )
+    cov13 = e2g * cross_theta
+    # theta - (1 - e^{-2 theta})/2 = E_2(-2 theta)/2
+    cov[..., 0, 1] = cov[..., 1, 0] = 0.5 * _exp_tail(-2.0 * theta, 2) - cov13
     cov[..., 0, 2] = cov[..., 2, 0] = cov13
-    cov[..., 1, 2] = cov[..., 2, 1] = cov23
+    cov[..., 1, 2] = cov[..., 2, 1] = cross_h * ones
     return cov
 
 
@@ -434,6 +412,8 @@ def coupled_error_experiment(
     h_values = [float(h) for h in h_values]
     if reference_refinement < 32:
         raise ConfigError("reference refinement must be >= 32")
+    if chains < 1:
+        raise ConfigError(f"chain count must be >= 1, got {chains}")
     for method in methods:
         if method not in _COUPLED_METHODS:
             raise ConfigError(f"coupled experiment supports {_COUPLED_METHODS}, got {method}")

@@ -16,6 +16,10 @@ Anchoring the weight locally keeps every stored value finite no matter how
 far the interval sits along the path; re-anchoring to another origin a is
 the scalar factor e^{2a}, which is what `compose` applies.
 
+`split` conditions in the independent coordinates (H, R = G - gamma H),
+inverting no matrix.  Closed forms that cancel leading orders are written in
+the one series helper, `_exp_tail`.
+
 RNG draw order is fixed for reproducibility: within one interval H is drawn
 before G; partitions are sampled left to right.
 """
@@ -23,6 +27,7 @@ before G; partitions are sampled left to right.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,24 +52,24 @@ __all__ = [
     "BrownianPathStore",
 ]
 
-# int_0^t e^{4s} ds - (int_0^t e^{2s} ds)^2 / t, the variance of G left
-# after conditioning on H.  The closed form cancels two leading orders at
-# small t, so below the crossover we use its Taylor series (series and
-# expm1 form agree to ~1e-14 at the 0.05 crossover).
-_RESIDUAL_SERIES = (
-    1.0 / 3.0,
-    2.0 / 3.0,
-    34.0 / 45.0,
-    28.0 / 45.0,
-    43.0 / 105.0,
-    214.0 / 945.0,
-    1538.0 / 14175.0,
-    652.0 / 14175.0,
-    8194.0 / 467775.0,
-    2836.0 / 467775.0,
-    27308.0 / 14189175.0,
-)
-_SERIES_CUTOFF = 0.05
+
+def _exp_tail(x, k):
+    """E_k(x) = e^x - sum_{j<k} x^j / j!, to rounding for every x, elementwise.
+
+    Below |x| = 0.5, 13 Taylor terms reach rounding for every k >= 2; above
+    it, expm1 minus the low terms cancels by at most about 5 bits.
+    """
+    x = np.asarray(x, dtype=float)[()]  # scalars stay numpy scalars, which are fast
+    series = 0.0 * x
+    for j in reversed(range(k, k + 13)):
+        series *= x
+        series += 1.0 / math.factorial(j)
+    for _ in range(k):
+        series *= x
+    direct = np.expm1(x)
+    for j in range(1, k):
+        direct -= x**j / math.factorial(j)
+    return np.where(np.abs(x) < 0.5, series, direct)[()]
 
 
 def gh_covariance(t):
@@ -76,17 +81,23 @@ def gh_covariance(t):
     return var_h, cov, var_g
 
 
+def _gain_residual(t):
+    """(gamma - 1, Var(G | H)) for length t, gamma = Cov(H,G)/Var(H), elementwise.
+
+    gamma = 1 + t + eps, eps = E_3(2t)/(2t), and Var(G | H) = Var(G) - gamma^2 t
+    = t gamma (t^2 - (1 - t) eps), where t^2 - (1 - t) eps = t^2/3 + O(t^3)
+    cancels by less than 2 bits.
+    """
+    t = np.asarray(t, dtype=float)[()]
+    # E_3(0) = 0: the floor only turns 0/0 into 0
+    eps = _exp_tail(2.0 * t, 3) / (2.0 * np.maximum(t, np.finfo(float).tiny))
+    excess = t + eps
+    return excess, t * (1.0 + excess) * (t * t - (1.0 - t) * eps)
+
+
 def _residual_var(t):
     """Var(G | H) = Var(G) - Cov(H,G)^2 / Var(H), stable down to t = 0."""
-    t = np.asarray(t, dtype=float)
-    exact_t = np.where(t > 0.0, t, 1.0)
-    cov = 0.5 * np.expm1(2.0 * exact_t)
-    exact = 0.25 * np.expm1(4.0 * exact_t) - cov * cov / exact_t
-    series = np.zeros_like(t)
-    for c in reversed(_RESIDUAL_SERIES):
-        series = series * t + c
-    series = series * t ** 3
-    return np.where(t < _SERIES_CUTOFF, series, exact)
+    return _gain_residual(t)[1]
 
 
 def _require_length(t):
@@ -148,9 +159,8 @@ def _sample_gh(lengths, dim, rng):
     """
     lengths = np.asarray(lengths, dtype=float)
     t = lengths[..., None]
-    var_h, cov, _ = gh_covariance(t)
-    scale_h, scale_g = np.sqrt(var_h), np.sqrt(_residual_var(t))
-    gain = np.divide(cov, t, out=np.ones_like(t), where=t > 0.0)
+    excess, rho = _gain_residual(t)
+    scale_h, scale_g, gain = np.sqrt(t), np.sqrt(rho), 1.0 + excess
     h = np.empty(lengths.shape + (dim,))
     g = np.empty_like(h)
     # cell by cell, so temporaries stay one (chains, dim) block in size
@@ -191,38 +201,42 @@ def split(parent: IntervalStats, at, rng):
     composition constraints, so compose(left, right) returns the parent up
     to rounding.  Marginally each child is distributed exactly as a fresh
     interval of its length.
+
+    Per child, R = G - gamma H is independent of H with variance rho.  The
+    parent fixes H_r = H_p - H_l and e^{2 tau} R_r = c - b H_l - R_l, with
+    c = G_p - e^{2 tau} gamma_r H_p and b = gamma_l - e^{2 tau} gamma_r, so
+    (H_l, R_l) has precision diag(1/tau, 1/rho_l) + e1 e1^T/(t - tau)
+    + w (b, 1)(b, 1)^T, w = e^{-4 tau}/rho_r.  Times tau (t - tau) rho_l rho_r
+    its determinant is t q + tau (t - tau) e^{-4 tau} b^2, q = rho_r +
+    e^{-4 tau} rho_l: all terms positive, no variance inverted.
     """
     at = float(at)
     if not (0.0 < at < parent.length):
         raise UlmcError(
             f"split point must lie strictly inside (0, {parent.length}), got {at}"
         )
-    tau, total = at, parent.length
-    vh_l, c_l, vg_l = gh_covariance(tau)
-    vh_p, c_p, vg_p = gh_covariance(total)
-
-    # conditional law of (H_l, G_l) given (H_p, G_p): cross-covariance with
-    # the parent equals the left marginal covariance
-    sig_l = np.array([[vh_l, c_l], [c_l, vg_l]])
-    sig_p = np.array([[vh_p, c_p], [c_p, vg_p]])
-    gain = sig_l @ np.linalg.inv(sig_p)  # 2x2, shared by all coordinates
-    cond = sig_l - gain @ sig_l
-    cond = 0.5 * (cond + cond.T)
-    # closed-form 2x2 Cholesky with clamping against rounding
-    l11 = np.sqrt(max(cond[0, 0], 0.0))
-    l21 = cond[1, 0] / l11 if l11 > 0.0 else 0.0
-    l22 = np.sqrt(max(cond[1, 1] - l21 * l21, 0.0))
+    t, tau, rest = parent.length, at, parent.length - at
+    (excess_l, rho_l), (excess_r, rho_r) = _gain_residual(tau), _gain_residual(rest)
+    # from gamma - 1, b keeps its leading order, -t
+    b = excess_l - excess_r - np.expm1(2.0 * tau) * (1.0 + excess_r)
+    decay = np.exp(-4.0 * tau)
+    q = rho_r + decay * rho_l
+    det = t * q + tau * rest * decay * b * b
 
     dim = parent.H.shape[0]
     z = rng.standard_normal((2, dim))  # H draw first, then G
-    mean_h = gain[0, 0] * parent.H + gain[0, 1] * parent.G
-    mean_g = gain[1, 0] * parent.H + gain[1, 1] * parent.G
-    h_left = mean_h + l11 * z[0]
-    g_left = mean_g + l21 * z[0] + l22 * z[1]
+    c = parent.G - np.exp(2.0 * tau) * (1.0 + excess_r) * parent.H
+    # conditional mean, plus the Cholesky factor of the covariance times z
+    h_left = tau * q / det * parent.H + tau * rest * decay * b / det * c
+    h_left += np.sqrt(tau * rest * q / det) * z[0]
+    r_left = decay * rho_l / det * (t * c - tau * b * parent.H)
+    r_left += np.sqrt(rho_l * rho_r / q) * z[1]
+    r_left -= decay * b * rho_l * np.sqrt(tau * rest / (q * det)) * z[0]
+    g_left = (1.0 + excess_l) * h_left + r_left
     h_right = parent.H - h_left
     g_right = (parent.G - g_left) * np.exp(-2.0 * tau)
     left = IntervalStats(length=tau, H=h_left, G=g_left)
-    right = IntervalStats(length=total - tau, H=h_right, G=g_right)
+    right = IntervalStats(length=rest, H=h_right, G=g_right)
     return left, right
 
 

@@ -161,6 +161,8 @@ def cmd_sample(args) -> int:
         r_mid, k_iters = args.r_midpoints, args.k_iters
     else:
         raise ConfigError("give either --epsilon or both --h and --n-steps")
+    if args.chains < 1:
+        raise ConfigError(f"chain count must be >= 1, got {args.chains}")
 
     start = np.tile(_resolve_start(target, None), (args.chains, 1))
     result = run_chain(

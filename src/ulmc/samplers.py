@@ -285,6 +285,8 @@ def rmm_run_ensemble(
     Records empirical (x, v) moments, not states, every record_every steps
     when requested.
     """
+    if chains < 1:
+        raise ConfigError(f"chain count must be >= 1, got {chains}")
     result = EnsembleResult(x=None, v=None, grad_evals=0)
 
     def record(step, x, v):

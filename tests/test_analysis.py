@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import ulmc
 from ulmc import Schedule, UlmcError, UnsupportedTargetError
-from ulmc.analysis import w_covariance
+from ulmc.analysis import _weight_sq_integral, w_covariance
 
 
 class TestGaussianW2:
@@ -85,6 +86,37 @@ class TestWCovariance:
         )
         oracle = oracle + np.triu(oracle, 1).T
         np.testing.assert_allclose(w_covariance(h, alpha), oracle, rtol=1e-10, atol=1e-18)
+
+    @pytest.mark.parametrize("alpha", [1e-7, 1e-3, 0.3, 0.9])
+    def test_matches_mpmath(self, alpha):
+        # 60-digit quadrature of the kernel products; every entry to 1e-12
+        with mp.workdps(60):
+            h = mp.mpf(0.05)
+            ah = mp.mpf(alpha) * mp.mpf(0.05)
+            kernels = (
+                (lambda s: -mp.expm1(-2 * (ah - s)), ah),
+                (lambda s: -mp.expm1(-2 * (h - s)), h),
+                (lambda s: mp.exp(-2 * (h - s)), h),
+            )
+            oracle = np.array(
+                [
+                    [
+                        float(mp.quad(lambda s: ki(s) * kj(s), [0, min(ei, ej)]))
+                        for kj, ej in kernels
+                    ]
+                    for ki, ei in kernels
+                ]
+            )
+        np.testing.assert_allclose(w_covariance(0.05, alpha), oracle, rtol=1e-12, atol=0)
+
+    def test_weight_sq_integral_matches_mpmath(self):
+        thetas = np.logspace(-8, 0, 33)
+        with mp.workdps(60):
+            oracle = [
+                float(th + mp.expm1(-2 * th) - mp.expm1(-4 * th) / 4)
+                for th in map(mp.mpf, thetas)
+            ]
+        np.testing.assert_allclose(_weight_sq_integral(thetas), oracle, rtol=1e-12, atol=0)
 
     def test_positive_semidefinite_across_alphas(self):
         cov = w_covariance(0.05, np.linspace(0.0, 1.0, 101))

@@ -5,14 +5,20 @@ Monte Carlo checks exploit that coordinates are iid: one call with dim=10^5
 yields 10^5 independent scalar draws.
 """
 
+import copy
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ulmc
 from ulmc import UlmcError
 from ulmc.brownian import (
     BrownianPathStore,
+    _residual_var,
     exp_euler_increments,
     gh_covariance,
     step_increments_batch,
@@ -24,6 +30,12 @@ MC_RTOL = 0.02
 
 def empirical_cov(*rows):
     return np.cov(np.stack(rows))
+
+
+def mp_gh_covariance(t):
+    """Cov of (H, G) over length t as an mpmath matrix (call under workdps)."""
+    cov = mp.expm1(2 * t) / 2
+    return mp.matrix([[t, cov], [cov, mp.expm1(4 * t) / 4]])
 
 
 class TestIntervalCovariance:
@@ -71,6 +83,15 @@ class TestIntervalCovariance:
         # residual agrees with the cubic leading order at small lengths
         tiny = lengths[lengths < 1e-4]
         np.testing.assert_allclose(_residual_var(tiny), tiny**3 / 3, rtol=1e-3)
+
+    def test_residual_var_matches_mpmath(self):
+        lengths = np.logspace(-8, 0, 33)
+        with mp.workdps(60):
+            oracle = []
+            for t in map(mp.mpf, lengths):
+                cov = mp_gh_covariance(t)
+                oracle.append(float(cov[1, 1] - cov[0, 1] ** 2 / t))
+        np.testing.assert_allclose(_residual_var(lengths), oracle, rtol=1e-12, atol=0)
 
     def test_rejects_bad_lengths(self):
         rng = np.random.default_rng(0)
@@ -149,6 +170,50 @@ class TestSplit:
         # sd of H over the sliver is 1e-4; events beyond 6 sd are negligible
         assert np.std(left.H) == pytest.approx(1e-4, rel=0.05)
         assert np.max(np.abs(left.H)) < 1e-3
+
+    @pytest.mark.parametrize("t", np.logspace(-8, 0, 9))
+    @pytest.mark.parametrize("fraction", [1e-6, 0.3, 0.5, 1 - 1e-6])
+    def test_conditional_law_matches_mpmath(self, t, fraction):
+        # The left child is mean + L z for the (2, dim) normals split draws,
+        # with mean 0 for a zero parent: recover L from a cloned generator
+        # and compare L L^T with the 60-digit conditional covariance.
+        dim, at = 4, fraction * t
+        with mp.workdps(60):
+            sig_l = mp_gh_covariance(mp.mpf(at))
+            gain = sig_l * mp.inverse(mp_gh_covariance(mp.mpf(t)))
+            cond = np.array((sig_l - gain * sig_l).tolist(), dtype=float)
+            gain = np.array(gain.tolist(), dtype=float)
+        rng = np.random.default_rng(11)
+        z = copy.deepcopy(rng).standard_normal((2, dim))
+        zero = ulmc.IntervalStats(t, np.zeros(dim), np.zeros(dim))
+        noise, _ = ulmc.split(zero, at, copy.deepcopy(rng))
+        factor = np.linalg.lstsq(z.T, np.stack([noise.H, noise.G]).T, rcond=None)[0].T
+        np.testing.assert_allclose(factor @ factor.T, cond, rtol=1e-12, atol=0)
+        # conditional mean of a drawn parent, in units of the conditional sd
+        parent = ulmc.sample_interval(t, dim, np.random.default_rng(12))
+        left, _ = ulmc.split(parent, at, rng)
+        mean = np.stack([left.H - noise.H, left.G - noise.G])
+        oracle = gain @ np.stack([parent.H, parent.G])
+        assert np.all(np.abs(mean - oracle) < 1e-6 * np.sqrt(np.diag(cond))[:, None])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        length=st.floats(1e-8, 1.0),
+        fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(length=1e-8, fraction=1e-300, seed=0)
+    @example(length=1.0, fraction=1.0 - 2.0**-53, seed=0)
+    def test_compose_of_split_reproduces_parent(self, length, fraction, seed):
+        at = fraction * length
+        assume(0.0 < at < length)
+        rng = np.random.default_rng(seed)
+        parent = ulmc.sample_interval(length, 8, rng)
+        rebuilt = ulmc.compose(*ulmc.split(parent, at, rng))
+        assert rebuilt.length == pytest.approx(length, rel=1e-15)
+        scale = 1e-14 * np.sqrt(length)
+        np.testing.assert_allclose(rebuilt.H, parent.H, rtol=0, atol=scale)
+        np.testing.assert_allclose(rebuilt.G, parent.G, rtol=0, atol=scale)
 
     def test_rejects_split_outside_interval(self):
         rng = np.random.default_rng(7)

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import ulmc
 from ulmc.cli import main
@@ -200,3 +201,20 @@ class TestSampleDriver:
         assert code == 3
         assert "lmc" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("chains", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--quad-diag", "1,4", "--h", "0.05", "--n-steps", "3"),
+        ("convergence", "--quad-diag", "1,2", "--epsilon", "0.5"),
+        ("coupled-error", "--quad-diag", "1", "--h", "0.1,0.2", "--total-time", "0.4"),
+    ],
+    ids=["sample", "convergence", "coupled-error"],
+)
+def test_chain_count_below_one_is_config_error(argv, chains, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--chains", chains, "--out", str(out)) == 2
+    assert "chain count" in capsys.readouterr().err
+    assert not out.exists()
