@@ -21,6 +21,7 @@ from .errors import ConfigError, UlmcError, UnsupportedTargetError
 from .samplers import (
     SamplerState,
     Schedule,
+    _require_finite,
     _resolve_start,
     exponential_euler_uld_step,
     rmm_run_ensemble,
@@ -179,19 +180,15 @@ def w_covariance(h, alpha):
 def _require_quadratic(target: TargetSpec):
     """Recover the diagonal and center of a linear-gradient target.
 
-    Probes the gradient at 0 and at unit vectors; verifies linearity on a
-    random point.
+    Probes the gradient at 0, at the unit vectors and at a random point in
+    one (d + 2, d) batch; the random point verifies linearity.
     """
     d = target.dim
-    g0 = target.gradient(np.zeros(d))
-    diag = np.empty(d)
-    eye = np.eye(d)
-    for i in range(d):
-        diag[i] = target.gradient(eye[i])[i] - g0[i]
-    rng = np.random.default_rng(12345)
-    probe = rng.standard_normal(d)
+    probe = np.random.default_rng(12345).standard_normal(d)
+    grads = target.gradient(np.vstack([np.zeros(d), np.eye(d), probe]))
+    g0, actual = grads[0], grads[-1]
+    diag = np.diagonal(grads[1:-1]) - g0
     predicted = diag * probe + g0
-    actual = target.gradient(probe)
     scale = np.max(np.abs(actual)) + np.max(np.abs(diag)) + 1.0
     if not np.allclose(predicted, actual, atol=1e-8 * scale):
         raise UnsupportedTargetError("operation requires a diagonal quadratic target")
@@ -224,50 +221,50 @@ def _rmm_alpha_averaged_maps(diag, h, u, n_nodes):
     Q = 0.5 * h * (1.0 - tail)  # x-update gradient weight
     S = h * tail  # v-update gradient weight
 
-    wcov = w_covariance(h, alphas)  # (n,3,3)
+    # (d, n) per coordinate and node: transition T and noise rows B, where
+    # x gets W2 - Q ua W1 and v gets 2 W3 - S ua W1
+    ua = u * diag[:, None]
+    shrink = 1.0 - q * ua
+    T = np.empty((d, n_nodes, 2, 2))
+    T[..., 0, 0] = 1.0 - Q * ua * shrink
+    T[..., 0, 1] = P - Q * ua * p
+    T[..., 1, 0] = -S * ua * shrink
+    T[..., 1, 1] = E - S * ua * p
+    B = np.zeros((d, n_nodes, 2, 3))
+    B[..., 0, 0] = -Q * ua
+    B[..., 1, 0] = -S * ua
+    B[..., 0, 1] = 1.0
+    B[..., 1, 2] = 2.0
 
-    tbar = np.zeros((d, 2, 2))
-    tkron = np.zeros((d, 4, 4))
-    noise = np.zeros((d, 2, 2))
-    for k in range(d):
-        ua = u * diag[k]
-        for j, (w, th) in enumerate(zip(weights, theta)):
-            shrink = 1.0 - q[j] * ua
-            T = np.array(
-                [
-                    [1.0 - Q[j] * ua * shrink, P - Q[j] * ua * p[j]],
-                    [-S[j] * ua * shrink, E - S[j] * ua * p[j]],
-                ]
-            )
-            # noise rows: x gets W2 - Q ua W1, v gets 2 W3 - S ua W1
-            B = np.array(
-                [
-                    [-Q[j] * ua, 1.0, 0.0],
-                    [-S[j] * ua, 0.0, 2.0],
-                ]
-            )
-            tbar[k] += w * T
-            tkron[k] += w * np.kron(T, T)
-            noise[k] += w * u * (B @ wcov[j] @ B.T)
+    tbar = np.einsum("n,knij->kij", weights, T)
+    # kron(T, T)[2i + a, 2j + b] = T[i, j] T[a, b]
+    tkron = np.einsum("n,knij,knab->kiajb", weights, T, T).reshape(d, 4, 4)
+    noise = u * np.einsum("n,knia,nab,knjb->kij", weights, B, w_covariance(h, alphas), B)
     return tbar, tkron, noise
 
 
-def _propagate_moments(diag, center, h, n_steps, u, n_nodes, x0, v0, record_every):
+def _stack_coordinates(z, blocks, center):
+    """Mean (2d,) and covariance (2d, 2d) of the stacked (x, v) state from
+    per-coordinate means z (d, 2) of (x - center, v) and covariance blocks
+    (d, 2, 2), symmetrized; coordinates are independent."""
+    d = z.shape[0]
+    cov = np.zeros((2, d, 2, d))
+    k = np.arange(d)
+    cov[:, k, :, k] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    return np.concatenate([z[:, 0] + center, z[:, 1]]), cov.reshape(2 * d, 2 * d)
+
+
+def _propagate_moments(diag, center, h, n_steps, u, n_nodes, x0, record_every):
     tbar, tkron, noise = _rmm_alpha_averaged_maps(diag, h, u, n_nodes)
     d = diag.shape[0]
-    v0 = np.full(d, v0, dtype=float) if np.isscalar(v0) else np.asarray(v0, dtype=float)
-    mean = np.stack([np.asarray(x0, dtype=float) - center, v0], axis=1)  # (d, 2)
+    mean = np.stack([np.asarray(x0, dtype=float) - center, np.zeros(d)], axis=1)  # (d, 2)
     second = np.einsum("ki,kj->kij", mean, mean)  # (d,2,2), start deterministic
     steps, means, covs = [], [], []
 
     def snapshot(step):
-        mu = np.concatenate([mean[:, 0] + center, mean[:, 1]])
-        cov = np.zeros((2 * d, 2 * d))
-        for k in range(d):
-            c = second[k] - np.outer(mean[k], mean[k])
-            cov[k, k] = c[0, 0]
-            cov[k, d + k] = cov[d + k, k] = c[0, 1]
-            cov[d + k, d + k] = c[1, 1]
+        mu, cov = _stack_coordinates(
+            mean, second - np.einsum("ki,kj->kij", mean, mean), center
+        )
         steps.append(step)
         means.append(mu)
         covs.append(cov)
@@ -309,10 +306,10 @@ def rmm_moment_oracle(
     u = 1.0 / target.smoothness
     start = np.asarray(x0, dtype=float) if x0 is not None else center
     steps, means, covs = _propagate_moments(
-        diag, center, h, n_steps, u, quadrature_nodes, start, 0.0, record_every
+        diag, center, h, n_steps, u, quadrature_nodes, start, record_every
     )
     _, means2, covs2 = _propagate_moments(
-        diag, center, h, n_steps, u, 2 * quadrature_nodes, start, 0.0, record_every
+        diag, center, h, n_steps, u, 2 * quadrature_nodes, start, record_every
     )
     err = max(
         float(np.max(np.abs(np.asarray(means) - np.asarray(means2)))),
@@ -321,8 +318,14 @@ def rmm_moment_oracle(
     return MomentTrace(steps=steps, means=means, covs=covs, quadrature_error=err)
 
 
-def _coordinate_generator(a, u):
-    return np.array([[0.0, 1.0], [-u * a, -2.0]])
+def _coordinate_flows(diag, u, t):
+    """e^{At} (d, 2, 2) for every coordinate's generator A = [[0,1],[-ua,-2]],
+    from one batched expm."""
+    gen = np.zeros((diag.shape[0], 2, 2))
+    gen[:, 0, 1] = 1.0
+    gen[:, 1, 0] = -u * diag
+    gen[:, 1, 1] = -2.0
+    return expm(gen * t)
 
 
 def exact_uld_moments(target: TargetSpec, t: float, x0, v0):
@@ -338,25 +341,11 @@ def exact_uld_moments(target: TargetSpec, t: float, x0, v0):
         raise UlmcError(f"time must be >= 0, got {t}")
     diag, center = _require_quadratic(target)
     u = 1.0 / target.smoothness
-    d = diag.shape[0]
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    mean = np.zeros(2 * d)
-    cov = np.zeros((2 * d, 2 * d))
-    for k in range(d):
-        A = _coordinate_generator(diag[k], u)
-        phi = expm(A * t)
-        stat = np.diag([1.0 / diag[k], u])
-        sigma = stat - phi @ stat @ phi.T
-        z0 = np.array([x0[k] - center[k], v0[k]])
-        zt = phi @ z0
-        mean[k] = zt[0] + center[k]
-        mean[d + k] = zt[1]
-        sigma = 0.5 * (sigma + sigma.T)
-        cov[k, k] = sigma[0, 0]
-        cov[k, d + k] = cov[d + k, k] = sigma[0, 1]
-        cov[d + k, d + k] = sigma[1, 1]
-    return mean, cov
+    phi = _coordinate_flows(diag, u, t)
+    stat = np.stack([1.0 / diag, np.full_like(diag, u)], axis=1)  # diagonal of S
+    sigma = stat[:, :, None] * np.eye(2) - (phi * stat[:, None, :]) @ phi.transpose(0, 2, 1)
+    z0 = np.stack([np.asarray(x0, dtype=float) - center, np.asarray(v0, dtype=float)], 1)
+    return _stack_coordinates((phi @ z0[:, :, None])[:, :, 0], sigma, center)
 
 
 def contraction_check(target: TargetSpec, t: float, delta_x0, delta_v0) -> ContractionResult:
@@ -376,11 +365,8 @@ def contraction_check(target: TargetSpec, t: float, delta_x0, delta_v0) -> Contr
     denom = float(np.sum(dx**2) + np.sum((dx + dv) ** 2))
     if denom == 0.0:
         return ContractionResult(ratio=0.0, bound=bound, degenerate=True)
-    num = 0.0
-    for k in range(diag.shape[0]):
-        phi = expm(_coordinate_generator(diag[k], u) * t)
-        zk = phi @ np.array([dx[k], dv[k]])
-        num += zk[0] ** 2 + (zk[0] + zk[1]) ** 2
+    z = (_coordinate_flows(diag, u, t) @ np.stack([dx, dv], axis=1)[:, :, None])[:, :, 0]
+    num = float(np.sum(z[:, 0] ** 2 + (z[:, 0] + z[:, 1]) ** 2))
     return ContractionResult(ratio=num / denom, bound=bound, degenerate=False)
 
 
@@ -407,7 +393,8 @@ def coupled_error_experiment(
     obtained by conditional splitting on demand).  Reports the chain-mean of
     ||x_method(T) - x_ref(T)|| per row and a log-log slope per method.
     With check_reference the reference is re-run at its own step on the same
-    paths and the worst discrepancy is reported (it should be ~0).
+    paths and the worst discrepancy is reported (it should be ~0).  A chain
+    whose state or error stops being finite raises UlmcError.
     """
     h_values = [float(h) for h in h_values]
     if reference_refinement < 32:
@@ -426,7 +413,6 @@ def coupled_error_experiment(
     h_min = min(h_values)
     n_ref = steps_per_h[h_min] * reference_refinement
 
-    u = 1.0 / target.smoothness
     start = _resolve_start(target, x0)
 
     seeds = np.random.SeedSequence(seed).spawn(chains)
@@ -435,24 +421,18 @@ def coupled_error_experiment(
     for chain_seq in seeds:
         rng = np.random.default_rng(chain_seq)
         store = BrownianPathStore(total_time, target.dim, rng)
-        x_ref = _drive_exp_euler_on_path(target, store, n_ref, start)
+        x_ref = _drive_on_path(target, "exp_euler_uld", store, n_ref, start, rng)
         if check_reference:
             # identical discretization on the identical path
-            x_again = _drive_exp_euler_on_path(target, store, n_ref, start)
+            x_again = _drive_on_path(target, "exp_euler_uld", store, n_ref, start, rng)
             self_errors.append(float(np.linalg.norm(x_again - x_ref)))
         for h in h_values:
             for method in methods:
-                if method == "rmm":
-                    x_end = _drive_rmm_on_path(
-                        target, store, steps_per_h[h], h, start, rng
-                    )
-                else:
-                    x_end = _drive_exp_euler_on_path(
-                        target, store, steps_per_h[h], start
-                    )
-                per_chain[(h, method)].append(
-                    float(np.linalg.norm(x_end - x_ref))
-                )
+                x_end = _drive_on_path(target, method, store, steps_per_h[h], start, rng)
+                error = float(np.linalg.norm(x_end - x_ref))
+                if not math.isfinite(error):  # finite states can still overflow here
+                    raise UlmcError(f"{method} error at h={h} is not finite: chains diverged")
+                per_chain[(h, method)].append(error)
 
     rows = []
     for h in h_values:
@@ -474,30 +454,22 @@ def coupled_error_experiment(
     )
 
 
-def _drive_exp_euler_on_path(target, store, n_steps, start):
+def _drive_on_path(target, method, store, n_steps, start, rng):
+    """Final x of n_steps equal steps of method over the store's path, from
+    start at zero velocity; rmm draws its midpoint fractions from rng."""
     total = store.total_time
     state = SamplerState(x=start.copy(), v=np.zeros_like(start), step=0)
     for j in range(n_steps):
         t0 = total * j / n_steps
         t1 = total * (j + 1) / n_steps
-        _, w2, w3 = store.increments(t0, t1)
-        state = exponential_euler_uld_step(
-            state, target, t1 - t0, ExpEulerIncrements(W2=w2, W3=w3)
-        )
-    return state.x
-
-
-def _drive_rmm_on_path(target, store, n_steps, h, start, rng):
-    total = store.total_time
-    state = SamplerState(x=start.copy(), v=np.zeros_like(start), step=0)
-    for j in range(n_steps):
-        t0 = total * j / n_steps
-        t1 = total * (j + 1) / n_steps
-        alpha = rng.uniform()
-        t_mid = t0 + alpha * (t1 - t0)
-        w1, w2, w3 = store.increments(t0, t1, t_mid)
-        inc = StepIncrements(W1=w1, W2=w2, W3=w3)
-        state = rmm_step(state, target, t1 - t0, alpha, inc)
+        if method == "rmm":
+            alpha = rng.uniform()
+            inc = StepIncrements(*store.increments(t0, t1, t0 + alpha * (t1 - t0)))
+            state = rmm_step(state, target, t1 - t0, alpha, inc)
+        else:
+            inc = ExpEulerIncrements(*store.increments(t0, t1)[1:])
+            state = exponential_euler_uld_step(state, target, t1 - t0, inc)
+        _require_finite(state, method)
     return state.x
 
 

@@ -155,11 +155,15 @@ def _sample_gh(lengths, dim, rng):
     lengths has shape (cells, ...); returns H, G of shape lengths.shape +
     (dim,).  Per cell, left to right, one block of shape lengths.shape[1:] +
     (dim,) is drawn for H, then one for G, so the stream layout does not
-    depend on the lengths; zero-length cells come out exactly zero.
+    depend on the lengths; zero-length cells come out exactly zero.  Var(G)
+    overflows above a length of about 177, which raises UlmcError.
     """
     lengths = np.asarray(lengths, dtype=float)
     t = lengths[..., None]
-    excess, rho = _gain_residual(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        excess, rho = _gain_residual(t)
+    if not np.isfinite(rho).all():
+        raise UlmcError(f"the (H, G) law of an interval of length {lengths.max()} overflows")
     scale_h, scale_g, gain = np.sqrt(t), np.sqrt(rho), 1.0 + excess
     h = np.empty(lengths.shape + (dim,))
     g = np.empty_like(h)

@@ -185,6 +185,11 @@ def _resolve_start(target: TargetSpec, x0):
     return np.asarray(target.minimizer, dtype=float)
 
 
+def _require_finite(state, method):
+    if not (np.isfinite(state.x).all() and np.isfinite(state.v).all()):
+        raise UlmcError(f"{method} chain state is not finite after step {state.step}")
+
+
 def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
     """The one step loop: n_steps of one method on a (chains, d) batch.
 
@@ -219,8 +224,7 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
             state = exponential_euler_uld_step(state, counted, h, inc)
         else:
             state = overdamped_lmc_step(state, counted, h, rng)
-        if not (np.isfinite(state.x).all() and np.isfinite(state.v).all()):
-            raise UlmcError(f"{method} chain state is not finite after step {n + 1}")
+        _require_finite(state, method)
         if record_every and (n + 1) % record_every == 0:
             record(n + 1, state.x, state.v)
     return state, counter.count

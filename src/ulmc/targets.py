@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DatasetFormatError, InvalidTargetError
+from .errors import DatasetFormatError, InvalidTargetError, UlmcError
 
 __all__ = [
     "TargetSpec",
@@ -170,7 +170,9 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
 
     m = lam exactly; L from the Hessian bound (estimate_smoothness).  The
     minimizer is computed by gradient descent to ||grad|| <= 1e-8 so that
-    samplers can start from it.
+    samplers can start from it.  Raises UlmcError when either iteration
+    stops unconverged, since a wrong L or minimizer silently skews the
+    schedule and the start.
     """
     if lam <= 0.0:
         raise InvalidTargetError(f"regularization must be positive, got {lam}")
@@ -181,6 +183,8 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
     yx = y[:, None] * x_rows  # (n, d)
 
     est = estimate_smoothness(data, lam)
+    if not est.converged:
+        raise UlmcError("power iteration for the smoothness constant did not converge")
 
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)
@@ -257,7 +261,13 @@ def _minimize_gradient_descent(gradient, dim, L, m, tol=1e-8, max_iter=200_000):
         if np.linalg.norm(g) <= tol:
             return x
         x = x - step * g
-    return x  # strongly convex, so this is effectively unreachable
+    residual = np.linalg.norm(gradient(x))
+    if residual > tol:
+        raise UlmcError(
+            f"gradient descent stopped at ||grad|| = {residual:.3g} > {tol} "
+            f"after {max_iter} iterations"
+        )
+    return x
 
 
 def load_libsvm(path, scale_features: bool = False) -> Dataset:

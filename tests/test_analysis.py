@@ -234,6 +234,60 @@ class TestMomentOracle:
             ulmc.rmm_moment_oracle(target, 0.05, 2, quadrature_nodes=16)
 
 
+class TestCoordinateLayout:
+    """Coordinates of a diagonal quadratic are independent: each 2x2 (x, v)
+    block of the oracles equals the 1-d oracle of that coordinate, and every
+    cross-coordinate entry is zero."""
+
+    diag = np.array([1.0, 4.0, 9.0])
+    center = np.array([0.5, -1.0, 2.0])
+    x0 = np.array([2.0, 0.0, -1.5])
+    v0 = np.array([0.3, -0.7, 1.1])
+
+    def coordinate_target(self, k):
+        a, c = self.diag[k], self.center[k]
+        return ulmc.TargetSpec(
+            dim=1,
+            gradient=lambda x: a * (np.asarray(x) - c),
+            smoothness=float(self.diag.max()),  # the same u = 1/L as the joint target
+            strong_convexity=a,
+            minimizer=np.array([c]),
+        )
+
+    def assert_blocks(self, mean, cov, per_coordinate):
+        d = self.diag.size
+        on_block = np.zeros((2 * d, 2 * d), dtype=bool)
+        for k, (mean_k, cov_k) in enumerate(per_coordinate):
+            sel = [k, d + k]
+            np.testing.assert_array_equal(mean[sel], mean_k)
+            np.testing.assert_array_equal(cov[np.ix_(sel, sel)], cov_k)
+            on_block[np.ix_(sel, sel)] = True
+        assert np.all(cov[~on_block] == 0.0)
+
+    def test_moment_oracle_blocks(self):
+        target = ulmc.quadratic_target(self.diag, self.center)
+        trace = ulmc.rmm_moment_oracle(target, 0.1, 30, x0=self.x0, record_every=10)
+        per_coordinate = [
+            ulmc.rmm_moment_oracle(
+                self.coordinate_target(k), 0.1, 30, x0=self.x0[[k]], record_every=10
+            )
+            for k in range(self.diag.size)
+        ]
+        for i, (mean, cov) in enumerate(zip(trace.means, trace.covs)):
+            self.assert_blocks(mean, cov, [(t.means[i], t.covs[i]) for t in per_coordinate])
+
+    def test_exact_moments_blocks(self):
+        target = ulmc.quadratic_target(self.diag, self.center)
+        mean, cov = ulmc.exact_uld_moments(target, 1.7, self.x0, self.v0)
+        per_coordinate = [
+            ulmc.exact_uld_moments(
+                self.coordinate_target(k), 1.7, self.x0[[k]], self.v0[[k]]
+            )
+            for k in range(self.diag.size)
+        ]
+        self.assert_blocks(mean, cov, per_coordinate)
+
+
 class TestContraction:
     def test_degenerate_zero_difference(self):
         target = ulmc.quadratic_target([1.0, 1.0], [0.0, 0.0])
@@ -283,6 +337,31 @@ class TestCoupledExperiment:
         assert res.slopes["rmm"] > res.slopes["exp_euler_uld"]
         assert 1.1 <= res.slopes["rmm"] <= 1.9
         assert 0.6 <= res.slopes["exp_euler_uld"] <= 1.4
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "curvature, total_time, methods, message",
+        [
+            # the states stay finite, their distance overflows
+            (1e6, 2.0, ("rmm", "exp_euler_uld"), "rmm error at h=0.5 is not finite"),
+            # the reference state overflows
+            (1e6, 4.0, ("rmm", "exp_euler_uld"), "exp_euler_uld chain state is not finite"),
+            # the fine reference stays stable, h = 0.5 does not
+            (400.0, 80.0, ("rmm",), "rmm chain state is not finite after step 140"),
+        ],
+    )
+    def test_diverging_run_raises(self, curvature, total_time, methods, message):
+        target = ulmc.TargetSpec(
+            dim=1,
+            gradient=lambda x: curvature * np.asarray(x),
+            smoothness=1.0,
+            strong_convexity=1.0,
+            minimizer=np.zeros(1),
+        )
+        with pytest.raises(UlmcError, match=message):
+            ulmc.coupled_error_experiment(
+                target, [0.5], total_time, seed=0, chains=1, methods=methods, x0=np.ones(1)
+            )
 
     def test_rejects_incommensurate_grid(self):
         target = ulmc.quadratic_target([1.0], [0.0])

@@ -99,6 +99,15 @@ class TestIntervalCovariance:
             with pytest.raises(UlmcError):
                 ulmc.sample_interval(bad, 3, rng)
 
+    def test_rejects_lengths_whose_law_overflows(self):
+        # Var(G) = (e^{4t} - 1)/4 passes the largest double near t = 177.4
+        rng = np.random.default_rng(0)
+        assert np.all(np.isfinite(ulmc.sample_interval(170.0, 3, rng).G))
+        with pytest.raises(UlmcError, match="overflows"):
+            ulmc.sample_interval(200.0, 3, rng)
+        with pytest.raises(UlmcError, match="overflows"):
+            exp_euler_increments(200.0, 3, rng)
+
 
 class TestCompose:
     def test_zero_length_identity(self):

@@ -7,12 +7,14 @@ from ulmc import (
     Dataset,
     DatasetFormatError,
     InvalidTargetError,
+    UlmcError,
     estimate_smoothness,
     load_libsvm,
     logistic_target,
     quadratic_target,
 )
-from ulmc.targets import GradientCounter
+from ulmc.cli import main
+from ulmc.targets import GradientCounter, SmoothnessEstimate, _minimize_gradient_descent
 
 
 def central_difference(value, x, step):
@@ -109,6 +111,26 @@ class TestLogisticTarget:
         rng = np.random.default_rng(3)
         target = logistic_target(random_logistic_data(rng), 0.01)
         assert np.linalg.norm(target.gradient(target.minimizer)) <= 1e-8
+
+    def test_unconverged_smoothness_estimate_raises(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            "ulmc.targets.estimate_smoothness",
+            lambda data, lam: SmoothnessEstimate(1.0, lam, converged=False),
+        )
+        with pytest.raises(UlmcError, match="did not converge"):
+            logistic_target(random_logistic_data(np.random.default_rng(2)), 0.01)
+        path = tmp_path / "d.txt"
+        path.write_text("+1 1:1\n-1 1:-1\n")
+        code = main(["sample", "--target", "logistic", "--dataset", str(path),
+                     "--h", "0.05", "--n-steps", "1"])
+        assert code == 3
+
+    def test_unconverged_minimizer_raises(self):
+        target = quadratic_target([1.0, 10.0], [1.0, -2.0])
+        with pytest.raises(UlmcError, match="gradient descent stopped"):
+            _minimize_gradient_descent(target.gradient, 2, 10.0, 1.0, max_iter=3)
+        x = _minimize_gradient_descent(target.gradient, 2, 10.0, 1.0)
+        np.testing.assert_allclose(x, target.minimizer, atol=1e-8)
 
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(1)
