@@ -473,12 +473,15 @@ def _drive_on_path(target, method, store, n_steps, start, rng):
     return state.x
 
 
+# Resamples of the chains behind the stationary study's 95% interval.
+BOOTSTRAP_RESAMPLES = 200
+
+
 def stationary_error_study(
     target: TargetSpec,
     sched: Schedule,
     chains: int,
     seed,
-    bootstrap: int = 200,
 ) -> StationaryStudyResult:
     """W2 between the fitted Gaussian of the final chain positions and the
     target Gaussian, with a bootstrap confidence interval over chains.
@@ -504,7 +507,7 @@ def stationary_error_study(
     point = fitted_w2(xs)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
     draws = []
-    for _ in range(bootstrap):
+    for _ in range(BOOTSTRAP_RESAMPLES):
         idx = rng.integers(0, chains, size=chains)
         draws.append(fitted_w2(xs[idx]).distance)
     lo, hi = np.quantile(draws, [0.025, 0.975])

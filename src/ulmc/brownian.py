@@ -353,6 +353,14 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     return ParallelIncrements(W1=w1, W2=w2, W3=w3)
 
 
+# Base cells have unit length: Var G of a cell overflows past a length of
+# about 177, and unit cells keep every stored value far from that.
+MAX_CELL = 1.0
+# Coarse grids computed as T*j/n for different n land within rounding of
+# each other; points this close are one breakpoint.
+SNAP_TOL = 1e-9
+
+
 class BrownianPathStore:
     """One Brownian path over [0, T], refinable to any breakpoint on demand.
 
@@ -363,13 +371,12 @@ class BrownianPathStore:
     mutates on refinement.
     """
 
-    def __init__(self, total_time, dim, rng, max_cell=1.0, snap_tol=1e-9):
+    def __init__(self, total_time, dim, rng):
         _require_length(total_time)
         self.total_time = float(total_time)
         self.dim = dim
         self.rng = rng
-        self.snap_tol = snap_tol
-        n_base = max(1, int(np.ceil(self.total_time / max_cell)))
+        n_base = max(1, int(np.ceil(self.total_time / MAX_CELL)))
         edges = np.linspace(0.0, self.total_time, n_base + 1)
         self._breaks = list(edges)
         self._cells = [
@@ -377,19 +384,16 @@ class BrownianPathStore:
             for a, b in zip(edges[:-1], edges[1:])
         ]
 
-    def breakpoints(self):
-        return list(self._breaks)
-
     def _locate(self, t):
-        """Index of an existing breakpoint equal to t (within snap_tol)."""
-        i = bisect.bisect_left(self._breaks, t - self.snap_tol)
-        if i < len(self._breaks) and abs(self._breaks[i] - t) <= self.snap_tol:
+        """Index of an existing breakpoint equal to t (within SNAP_TOL)."""
+        i = bisect.bisect_left(self._breaks, t - SNAP_TOL)
+        if i < len(self._breaks) and abs(self._breaks[i] - t) <= SNAP_TOL:
             return i
         return None
 
     def ensure(self, t):
         """Make t a breakpoint, conditionally splitting the containing cell."""
-        if not (0.0 <= t <= self.total_time + self.snap_tol):
+        if not (0.0 <= t <= self.total_time + SNAP_TOL):
             raise UlmcError(f"time {t} outside [0, {self.total_time}]")
         existing = self._locate(t)
         if existing is not None:
@@ -409,7 +413,7 @@ class BrownianPathStore:
         """
         if not (t0 < t1):
             raise UlmcError("need t0 < t1")
-        if t_mid is not None and not (t0 - self.snap_tol <= t_mid <= t1):
+        if t_mid is not None and not (t0 - SNAP_TOL <= t_mid <= t1):
             raise UlmcError("midpoint must lie inside the step")
         self.ensure(t0)
         self.ensure(t1)

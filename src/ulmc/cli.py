@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -46,10 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON file pre-setting any flag")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (no wall-clock seeding)")
         p.add_argument("--out", help="output path (default: stdout)")
 
     def add_target(p):
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (no wall-clock seeding)")
         p.add_argument("--target", choices=("quadratic", "logistic"), default="quadratic")
         p.add_argument("--quad-diag", default="1", help="comma-separated curvature diagonal")
         p.add_argument("--quad-center", default=None, help="comma-separated center (default 0)")
@@ -88,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--smoothness", type=float, default=1.0, help="gradient Lipschitz constant L")
     p.add_argument("--c-const", type=float, default=0.5)
     p.add_argument("--parallel", action="store_true", help="use the R-midpoint rule")
     p.add_argument("--c-r", type=float, default=1.0)
@@ -143,43 +143,48 @@ def _resolved_config(args):
 def _open_out(args):
     if args.out:
         return open(args.out, "w", newline="", encoding="utf-8")
-    import contextlib
-
     return contextlib.nullcontext(sys.stdout)
+
+
+def _write_table(args, header, rows, notes=(), footer=()):
+    """Write the version and config lines, "# " note lines, the CSV table
+    and "# " footer lines.  Floats are written with repr, so they round-trip.
+    """
+    with _open_out(args) as fh:
+        fh.write(f"# ulmc {__version__}\n")
+        fh.write(f"# config {_resolved_config(args)}\n")
+        for line in notes:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        for line in footer:
+            fh.write(f"# {line}\n")
 
 
 def cmd_sample(args) -> int:
     target = _make_target(args)
-    kappa = target.kappa
     if args.epsilon is not None:
-        sched = schedule(args.epsilon, kappa, C=args.c_const, L=target.smoothness)
+        sched = schedule(args.epsilon, target.kappa, C=args.c_const, L=target.smoothness)
         h, n_steps = sched.h, sched.N
-        r_mid, k_iters = ((args.r_midpoints, args.k_iters)
-                          if args.method == "rmm_parallel" else (sched.R, sched.K))
     elif args.h is not None and args.n_steps is not None:
         h, n_steps = args.h, args.n_steps
-        r_mid, k_iters = args.r_midpoints, args.k_iters
     else:
         raise ConfigError("give either --epsilon or both --h and --n-steps")
     if args.chains < 1:
         raise ConfigError(f"chain count must be >= 1, got {args.chains}")
 
     start = np.tile(_resolve_start(target, None), (args.chains, 1))
-    result = run_chain(
-        target, args.method, h, n_steps, args.seed, R=r_mid, K=k_iters, x0=start
+    result = run_chain(target, args.method, h, n_steps, args.seed,
+                       R=args.r_midpoints, K=args.k_iters, x0=start)
+    _write_table(
+        args,
+        ["chain"] + [f"x{i}" for i in range(target.dim)],
+        ([i, *x.tolist()] for i, x in enumerate(result.final.x)),
+        notes=[f"method={args.method} h={h!r} n_steps={n_steps} "
+               f"seed={args.seed} grad_evals={result.grad_evals}"],
     )
-
-    with _open_out(args) as fh:
-        fh.write(f"# ulmc {__version__}\n")
-        fh.write(f"# config {_resolved_config(args)}\n")
-        fh.write(
-            f"# method={args.method} h={h!r} n_steps={n_steps} "
-            f"seed={args.seed} grad_evals={result.grad_evals}\n"
-        )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chain"] + [f"x{i}" for i in range(target.dim)])
-        for i, x in enumerate(result.final.x):
-            writer.writerow([i] + [repr(float(val)) for val in x])
     return 0
 
 
@@ -192,24 +197,11 @@ def cmd_convergence(args) -> int:
     for idx, eps in enumerate(epsilons):
         sched = schedule(eps, target.kappa, C=args.c_const, L=target.smoothness)
         study = stationary_error_study(target, sched, args.chains, args.seed + idx)
-        rows.append(
-            (
-                eps,
-                sched.h,
-                sched.N,
-                study.w2.distance,
-                study.w2.normalized,
-                study.ci_low,
-                study.ci_high,
-            )
-        )
-    with _open_out(args) as fh:
-        fh.write(f"# ulmc {__version__}\n")
-        fh.write(f"# config {_resolved_config(args)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epsilon", "h", "N", "w2", "w2_normalized", "ci_low", "ci_high"])
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        w2 = study.w2
+        rows.append((eps, sched.h, sched.N, w2.distance, w2.normalized,
+                     study.ci_low, study.ci_high))
+    header = ["epsilon", "h", "N", "w2", "w2_normalized", "ci_low", "ci_high"]
+    _write_table(args, header, rows)
     return 0
 
 
@@ -224,27 +216,22 @@ def cmd_coupled_error(args) -> int:
         reference_refinement=args.refinement,
         chains=args.chains,
     )
-    with _open_out(args) as fh:
-        fh.write(f"# ulmc {__version__}\n")
-        fh.write(f"# config {_resolved_config(args)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["h", "method", "mean_error"])
-        for h, method, err in result.rows:
-            writer.writerow([repr(float(h)), method, repr(float(err))])
-        for method, slope in sorted(result.slopes.items()):
-            fh.write(f"# slope {method} {slope!r}\n")
+    _write_table(
+        args,
+        ["h", "method", "mean_error"],
+        result.rows,
+        footer=[f"slope {m} {slope!r}" for m, slope in sorted(result.slopes.items())],
+    )
     return 0
 
 
 def cmd_schedule(args) -> int:
     if args.parallel:
-        sched = schedule_parallel(
-            args.epsilon, args.kappa, C=args.c_const, L=args.smoothness,
-            c_R=args.c_r, c_K=args.c_k,
-        )
+        sched = schedule_parallel(args.epsilon, args.kappa, C=args.c_const,
+                                  c_R=args.c_r, c_K=args.c_k)
         payload = {"h": sched.h, "R": sched.R, "K": sched.K, "N": sched.N}
     else:
-        sched = schedule(args.epsilon, args.kappa, C=args.c_const, L=args.smoothness)
+        sched = schedule(args.epsilon, args.kappa, C=args.c_const)
         payload = {"h": sched.h, "N": sched.N}
     text = json.dumps(payload, sort_keys=True)
     with _open_out(args) as fh:

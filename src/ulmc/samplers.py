@@ -80,8 +80,7 @@ class Schedule:
     """Resolved run parameters: step size h, iterations N, u = 1/L.
 
     R is the midpoint count and K the fixed-point depth (1 and 2 for the
-    serial algorithm).  C is the constant the step-size rule was called
-    with, kept for provenance.
+    serial algorithm).
     """
 
     h: float
@@ -89,7 +88,6 @@ class Schedule:
     u: float
     R: int = 1
     K: int = 2
-    C: float = 0.5
 
     def __post_init__(self):
         if not (0.0 < self.h <= H_MAX_SCHEDULE + 1e-12):
@@ -468,7 +466,7 @@ def schedule(epsilon, kappa, C=0.5, L=1.0) -> Schedule:
     )
     h = min(h, H_MAX_SCHEDULE)
     N = math.ceil(2.0 * kappa / h * math.log(20.0 / epsilon**2))
-    return Schedule(h=h, N=N, u=1.0 / L, R=1, K=2, C=C)
+    return Schedule(h=h, N=N, u=1.0 / L)
 
 
 def schedule_parallel(epsilon, kappa, C=0.5, L=1.0, c_R=1.0, c_K=3.0) -> Schedule:
@@ -487,7 +485,7 @@ def schedule_parallel(epsilon, kappa, C=0.5, L=1.0, c_R=1.0, c_K=3.0) -> Schedul
     delta = h / R
     K = max(2, math.ceil(c_K * math.log(1.0 / delta**4)))
     N = math.ceil(2.0 * kappa / h * math.log(20.0 / epsilon**2))
-    return Schedule(h=h, N=N, u=1.0 / L, R=R, K=K, C=C)
+    return Schedule(h=h, N=N, u=1.0 / L, R=R, K=K)
 
 
 def _check_schedule_inputs(epsilon, kappa, C, L):

@@ -92,7 +92,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SmoothnessEstimate:
-    """Result of the logistic Hessian bound L = lambda + max eig(Gram)/4."""
+    """Result of the logistic Hessian bound L = lambda + max eig(Gram)/4.
+
+    converged is True by construction: the eigenvalue is computed exactly,
+    not iterated.  logistic_target still refuses an estimate that says
+    otherwise.
+    """
 
     smoothness: float
     strong_convexity: float
@@ -170,9 +175,9 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
 
     m = lam exactly; L from the Hessian bound (estimate_smoothness).  The
     minimizer is computed by gradient descent to ||grad|| <= 1e-8 so that
-    samplers can start from it.  Raises UlmcError when either iteration
-    stops unconverged, since a wrong L or minimizer silently skews the
-    schedule and the start.
+    samplers can start from it.  Raises UlmcError when the smoothness
+    estimate or the descent reports itself unconverged, since a wrong L or
+    minimizer silently skews the schedule and the start.
     """
     if lam <= 0.0:
         raise InvalidTargetError(f"regularization must be positive, got {lam}")
@@ -184,7 +189,7 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
 
     est = estimate_smoothness(data, lam)
     if not est.converged:
-        raise UlmcError("power iteration for the smoothness constant did not converge")
+        raise UlmcError("the smoothness estimate did not converge")
 
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)
@@ -212,43 +217,23 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
     )
 
 
-def estimate_smoothness(
-    data: Dataset, lam: float, rel_tol: float = 1e-6, max_iter: int = 10_000
-) -> SmoothnessEstimate:
+def estimate_smoothness(data: Dataset, lam: float) -> SmoothnessEstimate:
     """Convexity constants for the regularized logistic potential.
 
     m = lam exactly.  L = lam + lambda_max(X^T X / n) / 4 since the logistic
-    Hessian is bounded by the Gram matrix scaled by 1/4; lambda_max via power
-    iteration to relative tolerance, with a convergence flag at the cap.
+    Hessian is bounded by the Gram matrix scaled by 1/4.  lambda_max comes
+    from one dense symmetric eigensolve of the smaller of X^T X and X X^T,
+    which share their nonzero eigenvalues: exact to rounding, where an
+    iteration's Rayleigh quotient approaches it from below and so bounds L
+    from the wrong side.
     """
-    if data.n_samples < 1:
-        raise InvalidTargetError("dataset must be nonempty")
     x = data.features
-    n = data.n_samples
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(data.dim)
-    w /= np.linalg.norm(w)
-    lam_max = 0.0
-    converged = False
-    for _ in range(max_iter):
-        z = x.T @ (x @ w) / n
-        nz = np.linalg.norm(z)
-        if nz == 0.0:  # features identically zero
-            lam_max = 0.0
-            converged = True
-            break
-        w_new = z / nz
-        lam_new = float(w_new @ (x.T @ (x @ w_new)) / n)
-        if abs(lam_new - lam_max) <= rel_tol * max(lam_new, 1e-300):
-            lam_max = lam_new
-            converged = True
-            break
-        lam_max = lam_new
-        w = w_new
+    gram = x.T @ x if data.dim <= data.n_samples else x @ x.T
+    lam_max = float(np.linalg.eigvalsh(gram / data.n_samples)[-1])
     return SmoothnessEstimate(
         smoothness=lam + 0.25 * lam_max,
         strong_convexity=lam,
-        converged=converged,
+        converged=True,
     )
 
 

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 import ulmc
 from ulmc import UlmcError
+from ulmc.analysis import w_covariance
 from ulmc.brownian import (
     BrownianPathStore,
     _residual_var,
@@ -172,6 +173,18 @@ class TestSplit:
         np.testing.assert_allclose(emp[1, 1], var_g, rtol=MC_RTOL)
         np.testing.assert_allclose(emp[0, 1], cov, rtol=MC_RTOL)
 
+    @pytest.mark.parametrize("t", [1e-3, 0.05, 1.0])
+    @pytest.mark.parametrize("fraction", [1e-3, 0.5, 1.0 - 1e-3])
+    def test_children_have_fresh_interval_law(self, t, fraction):
+        rng = np.random.default_rng(15)
+        parent = ulmc.sample_interval(t, 2 * MC_DIM, rng)
+        for child in ulmc.split(parent, fraction * t, rng):
+            var_h, cov, var_g = gh_covariance(child.length)
+            emp = empirical_cov(child.H, child.G)
+            np.testing.assert_allclose(
+                [emp[0, 0], emp[0, 1], emp[1, 1]], [var_h, cov, var_g], rtol=MC_RTOL
+            )
+
     def test_vanishing_left_interval(self):
         rng = np.random.default_rng(6)
         parent = ulmc.sample_interval(1.0, MC_DIM, rng)
@@ -283,6 +296,20 @@ class TestStepIncrements:
         inc = step_increments_batch(0.05, alphas, 1, rng)
         oracle = quad(lambda s: (1 - np.exp(-2 * (0.0185 - s))) ** 2, 0, 0.0185)[0]
         np.testing.assert_allclose(np.var(inc.W1[:, 0]), oracle, rtol=MC_RTOL)
+
+    def test_batch_with_per_row_midpoints_matches_closed_form(self):
+        # rows of one call carry different midpoints; each group must follow
+        # the (W1, W2, W3) law of its own alpha
+        alphas = (1e-3, 0.37, 0.999)
+        rng = np.random.default_rng(14)
+        inc = step_increments_batch(0.05, np.repeat(alphas, MC_DIM), 1, rng)
+        for g, alpha in enumerate(alphas):
+            rows = slice(g * MC_DIM, (g + 1) * MC_DIM)
+            emp = empirical_cov(inc.W1[rows, 0], inc.W2[rows, 0], inc.W3[rows, 0])
+            oracle = w_covariance(0.05, alpha)
+            np.testing.assert_allclose(np.diag(emp), np.diag(oracle), rtol=0.03)
+            corr = lambda c: c / np.sqrt(np.outer(np.diag(c), np.diag(c)))
+            np.testing.assert_allclose(corr(emp), corr(oracle), atol=0.01)
 
     def test_exp_euler_increments_covariance(self):
         h = 0.05

@@ -167,6 +167,25 @@ class TestEstimateSmoothness:
         expected = 0.01 + 0.25 * np.linalg.eigvalsh(gram)[-1]
         np.testing.assert_allclose(est.smoothness, expected, rtol=1e-5)
 
+    @pytest.mark.parametrize(
+        "n, d, spectrum",
+        [(400, 30, [1.0, 0.999]), (40, 90, [1.3, 1.2, 0.4]), (50, 6, [0.0])],
+        ids=["near-tie", "wide", "zero-features"],
+    )
+    def test_exact_against_analytic_top_eigenvalue(self, n, d, spectrum):
+        # X = U diag(s) V^T sqrt(n) has lambda_max(X^T X / n) = s_1^2, and an
+        # estimate must not fall below it: L bounds the gradient's Lipschitz
+        # constant from above
+        rng = np.random.default_rng(8)
+        k = len(spectrum)
+        u, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, k)))
+        x = u @ np.diag(spectrum) @ v.T * np.sqrt(n)
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        est = estimate_smoothness(Dataset(features=x, labels=y), 0.01)
+        assert est.converged
+        np.testing.assert_allclose(est.smoothness, 0.01 + spectrum[0] ** 2 / 4, rtol=1e-12)
+
 
 class TestLoadLibsvm:
     def test_basic_parse(self, tmp_path):
