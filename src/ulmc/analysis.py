@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .brownian import BrownianPathStore, ExpEulerIncrements, StepIncrements, _exp_tail
 from .errors import ConfigError, UlmcError, UnsupportedTargetError
@@ -319,13 +318,27 @@ def rmm_moment_oracle(
 
 
 def _coordinate_flows(diag, u, t):
-    """e^{At} (d, 2, 2) for every coordinate's generator A = [[0,1],[-ua,-2]],
-    from one batched expm."""
-    gen = np.zeros((diag.shape[0], 2, 2))
-    gen[:, 0, 1] = 1.0
-    gen[:, 1, 0] = -u * diag
-    gen[:, 1, 1] = -2.0
-    return expm(gen * t)
+    """e^{At} (d, 2, 2) for every coordinate's generator A = [[0,1],[-ua,-2]].
+
+    A = -I + N with N^2 = (1 - ua) I, so e^{At} = c I + k N with
+    c = e^{-t} cosh(wt) and k = e^{-t} sinh(wt)/w, w = sqrt(1 - ua).  Both
+    are built from the decaying factors e^{-(1-w)t} = e^{-t ua/(1+w)} and
+    1 - e^{-2wt}, so nothing overflows; a complex w covers ua > 1.
+    """
+    ua = u * diag
+    omega = np.sqrt((1.0 - ua).astype(complex))
+    slow = np.exp(-t * ua / (1.0 + omega))
+    fast = -np.expm1(-2.0 * omega * t)
+    # (1 - e^{-2wt}) / 2w tends to t at critical damping, w = 0
+    ratio = np.divide(fast, 2.0 * omega, out=np.full_like(fast, t), where=omega != 0)
+    c = (slow * (1.0 - 0.5 * fast)).real
+    k = (slow * ratio).real
+    phi = np.empty(ua.shape + (2, 2))
+    phi[:, 0, 0] = c + k
+    phi[:, 0, 1] = k
+    phi[:, 1, 0] = -ua * k
+    phi[:, 1, 1] = c - k
+    return phi
 
 
 def exact_uld_moments(target: TargetSpec, t: float, x0, v0):
@@ -334,8 +347,9 @@ def exact_uld_moments(target: TargetSpec, t: float, x0, v0):
 
     Per coordinate the process is linear with generator A = [[0,1],[-ua,-2]]
     and stationary covariance S = diag(1/a, u), so the deterministic-start
-    law is mean e^{At} z0 and covariance S - e^{At} S e^{A^T t}, stable for
-    any horizon because e^{At} only decays.
+    law is mean e^{At} z0 and covariance S - e^{At} S e^{A^T t}.  The flow
+    e^{At} is in closed form, written in decaying factors, so the law is
+    stable for any horizon.
     """
     if t < 0.0:
         raise UlmcError(f"time must be >= 0, got {t}")

@@ -7,7 +7,8 @@ Subcommands:
   schedule       print the (h, N) or (h, R, K, N) rule as JSON
 
 A JSON config file (--config) may pre-set any long flag (keys with dashes
-or underscores); explicit flags override it.  All outputs are deterministic
+or underscores); explicit flags override it, and a key that no subcommand
+takes is a configuration error.  All outputs are deterministic
 given (config, seed): no wall-clock anywhere.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
@@ -113,9 +114,13 @@ def _apply_config_file(parser, argv):
     defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
     if "lambda" in defaults:
         defaults["lam"] = defaults.pop("lambda")
-    for sub_action in parser._subparsers._group_actions[0].choices.values():
-        valid = {a.dest for a in sub_action._actions}
-        sub_action.set_defaults(**{k: v for k, v in defaults.items() if k in valid})
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    dests = [{a.dest for a in sub._actions} for sub in subparsers]
+    unknown = sorted(set(defaults).difference(*dests))
+    if unknown:
+        raise ConfigError(f"config file keys that no subcommand takes: {', '.join(unknown)}")
+    for sub, valid in zip(subparsers, dests):
+        sub.set_defaults(**{k: v for k, v in defaults.items() if k in valid})
 
 
 def _make_target(args):

@@ -261,6 +261,13 @@ def run_chain(
     return RunResult(final=final, grad_evals=grad_evals, history=history)
 
 
+def _check_schedule_u(sched: Schedule, target: TargetSpec):
+    """The steppers read u = 1/L from the target; the schedule must agree."""
+    u = 1.0 / target.smoothness
+    if abs(sched.u - u) > 1e-12 * u:
+        raise ConfigError(f"schedule u={sched.u!r} differs from 1/L={u!r} of the target")
+
+
 def rmm_run(
     target: TargetSpec,
     sched: Schedule,
@@ -269,6 +276,7 @@ def rmm_run(
     record_every: Optional[int] = None,
 ) -> RunResult:
     """Run one randomized-midpoint chain under a resolved schedule."""
+    _check_schedule_u(sched, target)
     return run_chain(target, "rmm", sched.h, sched.N, seed, x0=x0, record_every=record_every)
 
 
@@ -287,6 +295,7 @@ def rmm_run_ensemble(
     Records empirical (x, v) moments, not states, every record_every steps
     when requested.
     """
+    _check_schedule_u(sched, target)
     if chains < 1:
         raise ConfigError(f"chain count must be >= 1, got {chains}")
     result = EnsembleResult(x=None, v=None, grad_evals=0)
@@ -392,6 +401,7 @@ def parallel_rmm_run(
     x0=None,
 ) -> RunResult:
     """Run one R-midpoint chain; alpha_i are drawn per cell, then increments."""
+    _check_schedule_u(sched, target)
     return run_chain(
         target, "rmm_parallel", sched.h, sched.N, seed, R=sched.R, K=sched.K, x0=x0
     )

@@ -92,16 +92,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SmoothnessEstimate:
-    """Result of the logistic Hessian bound L = lambda + max eig(Gram)/4.
-
-    converged is True by construction: the eigenvalue is computed exactly,
-    not iterated.  logistic_target still refuses an estimate that says
-    otherwise.
-    """
+    """Result of the logistic Hessian bound L = lambda + max eig(Gram)/4."""
 
     smoothness: float
     strong_convexity: float
-    converged: bool
 
 
 class GradientCounter:
@@ -175,9 +169,8 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
 
     m = lam exactly; L from the Hessian bound (estimate_smoothness).  The
     minimizer is computed by gradient descent to ||grad|| <= 1e-8 so that
-    samplers can start from it.  Raises UlmcError when the smoothness
-    estimate or the descent reports itself unconverged, since a wrong L or
-    minimizer silently skews the schedule and the start.
+    samplers can start from it.  Raises UlmcError when the descent stops
+    unconverged, since a wrong minimizer silently skews the start.
     """
     if lam <= 0.0:
         raise InvalidTargetError(f"regularization must be positive, got {lam}")
@@ -188,8 +181,6 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
     yx = y[:, None] * x_rows  # (n, d)
 
     est = estimate_smoothness(data, lam)
-    if not est.converged:
-        raise UlmcError("the smoothness estimate did not converge")
 
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)
@@ -233,7 +224,6 @@ def estimate_smoothness(data: Dataset, lam: float) -> SmoothnessEstimate:
     return SmoothnessEstimate(
         smoothness=lam + 0.25 * lam_max,
         strong_convexity=lam,
-        converged=True,
     )
 
 

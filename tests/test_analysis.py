@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import ulmc
 from ulmc import Schedule, UlmcError, UnsupportedTargetError
-from ulmc.analysis import _weight_sq_integral, w_covariance
+from ulmc.analysis import _coordinate_flows, _weight_sq_integral, w_covariance
 
 
 class TestGaussianW2:
@@ -232,6 +232,44 @@ class TestMomentOracle:
         target = ulmc.quadratic_target([1.0], [0.0])
         with pytest.raises(UlmcError):
             ulmc.rmm_moment_oracle(target, 0.05, 2, quadrature_nodes=16)
+
+
+class TestCoordinateFlow:
+    """The closed-form e^{At}, A = [[0,1],[-ua,-2]], against 50-digit mpmath
+    expm, across damping regimes and horizons."""
+
+    @staticmethod
+    def grid(kappa):
+        # overdamped ua in [1/kappa, 1), critical ua = 1, underdamped ua > 1
+        return np.concatenate([np.linspace(1.0 / kappa, 1.0, 4), [1.0 - 1e-9, 1.0 + 1e-9, 2.0]])
+
+    @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0])
+    def test_matches_mpmath(self, kappa):
+        ua = self.grid(kappa)
+        assert 1.0 in ua  # critical damping, w = 0 exactly
+        with mp.workdps(50):
+            for t in (0.0, 1e-8, kappa / 10.0, kappa, 10.0 * kappa, 300.0):
+                flows = _coordinate_flows(ua, 1.0, t)
+                assert np.all(np.isfinite(flows))
+                for a, flow in zip(ua, flows):
+                    exact = mp.expm(mp.matrix([[0, 1], [-a, -2]]) * t)
+                    norm = mp.mnorm(exact, "f")
+                    if norm < 1e-300:  # below the double range of the entries
+                        continue
+                    err = mp.mnorm(mp.matrix(flow.tolist()) - exact, "f") / norm
+                    assert err <= 1e-13, (a, t, float(err))
+
+    def test_identity_at_time_zero(self):
+        flows = _coordinate_flows(self.grid(100.0), 1.0, 0.0)
+        np.testing.assert_array_equal(flows, np.broadcast_to(np.eye(2), flows.shape))
+
+    def test_long_horizon_stays_finite(self):
+        # kappa = 100, t = 1000: cosh(wt) alone overflows there
+        diag = np.linspace(1.0, 100.0, 4)
+        assert np.all(np.isfinite(_coordinate_flows(diag, 0.01, 1000.0)))
+        target = ulmc.quadratic_target(diag, np.zeros(4))
+        mean, cov = ulmc.exact_uld_moments(target, 1000.0, np.ones(4), np.ones(4))
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
 
 
 class TestCoordinateLayout:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,24 @@ class TestConfigFile:
         cfg.write_text("[1,2,3]")
         assert run_cli("sample", "--config", str(cfg)) == 2
 
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"sed": 5, "quad-diag": "1,2", "h": 0.05, "n-steps": 3}))
+        assert run_cli("sample", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "sed" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
+        # a config shared by sample and schedule: schedule takes no --seed
+        cfg = tmp_path / "shared.json"
+        cfg.write_text(json.dumps({"seed": 7, "c-const": 0.25}))
+        flags = ("--epsilon", "0.1", "--kappa", "10")
+        assert run_cli("schedule", "--config", str(cfg), *flags) == 0
+        with_config = json.loads(capsys.readouterr().out)
+        assert run_cli("schedule", "--c-const", "0.25", *flags) == 0
+        assert with_config == json.loads(capsys.readouterr().out)
+
 
 class TestSampleDriver:
     def test_rows_equal_the_library_ensemble(self, tmp_path):
@@ -218,3 +240,14 @@ def test_chain_count_below_one_is_config_error(argv, chains, tmp_path, capsys):
     assert run_cli(*argv, "--chains", chains, "--out", str(out)) == 2
     assert "chain count" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must not import it
+    src = str(Path(ulmc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ulmc.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

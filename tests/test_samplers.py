@@ -126,6 +126,22 @@ class TestRmmRun:
         with pytest.raises(ConfigError):
             ulmc.rmm_run(target, sched, seed=0)
 
+    def test_schedule_u_must_be_one_over_l(self):
+        target = ulmc.quadratic_target([1.0, 2.0], [0.0, 0.0])
+        sched = Schedule(h=0.05, N=5, u=123.0)
+        runs = (
+            lambda: ulmc.rmm_run(target, sched, 0),
+            lambda: ulmc.parallel_rmm_run(target, sched, 0),
+            lambda: ulmc.rmm_run_ensemble(target, sched, 3, 0),
+            lambda: ulmc.stationary_error_study(target, sched, 3, 0),
+        )
+        for run in runs:
+            with pytest.raises(ConfigError, match="1/L"):
+                run()
+        # 1/L up to rounding is the same u
+        rounded = Schedule(h=0.05, N=5, u=0.5 * (1.0 + 4e-16))
+        assert ulmc.rmm_run(target, rounded, 0).grad_evals == 10
+
     def test_two_gradient_evaluations_per_step(self):
         target = ulmc.quadratic_target([1.0, 2.0], [0.0, 0.0])
         sched = Schedule(h=0.05, N=37, u=1.0 / target.smoothness)

@@ -13,8 +13,7 @@ from ulmc import (
     logistic_target,
     quadratic_target,
 )
-from ulmc.cli import main
-from ulmc.targets import GradientCounter, SmoothnessEstimate, _minimize_gradient_descent
+from ulmc.targets import GradientCounter, _minimize_gradient_descent
 
 
 def central_difference(value, x, step):
@@ -112,19 +111,6 @@ class TestLogisticTarget:
         target = logistic_target(random_logistic_data(rng), 0.01)
         assert np.linalg.norm(target.gradient(target.minimizer)) <= 1e-8
 
-    def test_unconverged_smoothness_estimate_raises(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            "ulmc.targets.estimate_smoothness",
-            lambda data, lam: SmoothnessEstimate(1.0, lam, converged=False),
-        )
-        with pytest.raises(UlmcError, match="did not converge"):
-            logistic_target(random_logistic_data(np.random.default_rng(2)), 0.01)
-        path = tmp_path / "d.txt"
-        path.write_text("+1 1:1\n-1 1:-1\n")
-        code = main(["sample", "--target", "logistic", "--dataset", str(path),
-                     "--h", "0.05", "--n-steps", "1"])
-        assert code == 3
-
     def test_unconverged_minimizer_raises(self):
         target = quadratic_target([1.0, 10.0], [1.0, -2.0])
         with pytest.raises(UlmcError, match="gradient descent stopped"):
@@ -147,7 +133,6 @@ class TestEstimateSmoothness:
     def test_single_unit_sample(self):
         data = Dataset(features=np.array([[1.0, 0.0, 0.0]]), labels=np.array([1.0]))
         est = estimate_smoothness(data, 0.01)
-        assert est.converged
         np.testing.assert_allclose(est.smoothness, 0.26, rtol=1e-6)
         assert est.strong_convexity == 0.01
 
@@ -183,7 +168,6 @@ class TestEstimateSmoothness:
         x = u @ np.diag(spectrum) @ v.T * np.sqrt(n)
         y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         est = estimate_smoothness(Dataset(features=x, labels=y), 0.01)
-        assert est.converged
         np.testing.assert_allclose(est.smoothness, 0.01 + spectrum[0] ** 2 / 4, rtol=1e-12)
 
 
