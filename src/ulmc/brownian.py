@@ -20,8 +20,11 @@ the scalar factor e^{2a}, which is what `compose` applies.
 inverting no matrix.  Closed forms that cancel leading orders are written in
 the one series helper, `_exp_tail`.
 
-RNG draw order is fixed for reproducibility: within one interval H is drawn
-before G; partitions are sampled left to right.
+RNG draw order is fixed for reproducibility.  A step with at most one
+midpoint draws one (k, chains, dim) block of normals: z0 and z1 give the
+whole step's (H, G), and z2, drawn when there is a midpoint, completes W1
+given them.  Cells, each drawing H before G, left to right, are kept only
+for steps with R > 1 midpoints and for the path store.
 """
 
 from __future__ import annotations
@@ -197,6 +200,20 @@ def compose(left: IntervalStats, right: IntervalStats) -> IntervalStats:
     )
 
 
+def _split_terms(t, tau, rest):
+    """Terms of the precision form of a length-t interval split at tau, with
+    rest = t - tau, elementwise: (gamma_l - 1, rho_l, gamma_r - 1, rho_r, b,
+    e^{-4 tau}, q, det), named as in `split`.
+    """
+    (excess_l, rho_l), (excess_r, rho_r) = _gain_residual(tau), _gain_residual(rest)
+    # from gamma - 1, b keeps its leading order, -t
+    b = excess_l - excess_r - np.expm1(2.0 * tau) * (1.0 + excess_r)
+    decay = np.exp(-4.0 * tau)
+    q = rho_r + decay * rho_l
+    det = t * q + tau * rest * decay * b * b
+    return excess_l, rho_l, excess_r, rho_r, b, decay, q, det
+
+
 def split(parent: IntervalStats, at, rng):
     """Refine an interval into two, conditioned on the parent functionals.
 
@@ -220,12 +237,7 @@ def split(parent: IntervalStats, at, rng):
             f"split point must lie strictly inside (0, {parent.length}), got {at}"
         )
     t, tau, rest = parent.length, at, parent.length - at
-    (excess_l, rho_l), (excess_r, rho_r) = _gain_residual(tau), _gain_residual(rest)
-    # from gamma - 1, b keeps its leading order, -t
-    b = excess_l - excess_r - np.expm1(2.0 * tau) * (1.0 + excess_r)
-    decay = np.exp(-4.0 * tau)
-    q = rho_r + decay * rho_l
-    det = t * q + tau * rest * decay * b * b
+    excess_l, rho_l, excess_r, rho_r, b, decay, q, det = _split_terms(t, tau, rest)
 
     dim = parent.H.shape[0]
     z = rng.standard_normal((2, dim))  # H draw first, then G
@@ -271,17 +283,17 @@ def _combine(cell_h, cell_g, points, mid_ends):
 
 
 def _fresh_increments(h, mids, dim, rng):
-    """(W1, W2, W3) of fresh steps of length h, one row per chain.
+    """(W1, W2, W3) of fresh steps of length h with R >= 2 midpoints, one row
+    per chain.
 
     mids has shape (chains, R), chain c's midpoint r lying in the cell
-    [r h/R, (r+1) h/R]; R = 0 means no midpoint.  Each chain's [0, h] is
-    split at the cell boundaries and its midpoints, interleaved, and one
-    (H, G) pair is drawn per cell as (chains, dim) blocks, cells left to
-    right.  Returns W1 as a list of R arrays and W2, W3, each of shape
-    (chains, dim).
+    [r h/R, (r+1) h/R].  Each chain's [0, h] is split at the cell
+    boundaries and its midpoints, interleaved, and one (H, G) pair is drawn
+    per cell as (chains, dim) blocks, cells left to right.  Returns W1 as a
+    list of R arrays and W2, W3, each of shape (chains, dim).
     """
     chains, R = mids.shape
-    edges = np.arange(max(R, 1) + 1) * (h / max(R, 1))
+    edges = np.arange(R + 1) * (h / R)
     edges[-1] = h
     points = np.empty((len(edges) + R, chains))  # 0, m_1, h/R, m_2, ..., m_R, h
     points[1 : 2 * R : 2] = np.clip(mids, edges[:R], edges[1 : R + 1]).T
@@ -291,12 +303,85 @@ def _fresh_increments(h, mids, dim, rng):
     return _combine(h_cells, g_cells, points, range(1, 2 * R, 2))
 
 
+def _midpoint_coefficients(h, alphas, rho, q0, q1):
+    """(3, chains) coefficients (p0, p1, s) of W1 = p0 z0 + p1 z1 + s z2.
+
+    z0 = H / sqrt(h) and z1 = (G - gamma H) / sqrt(rho) are the whole
+    step's normals and z2 is fresh, so p0 = Cov(W1, H) / sqrt(h), p1 =
+    Cov(W1, R) / sqrt(rho) and s^2 = Var(W1 | H, G).  Over the left cell
+    [0, tau], tau = alpha h, W1 = kappa H_l - e^{-2 tau} R_l with kappa =
+    1 - e^{-2 tau} gamma_l, so s^2 is the sum of squares of `split`'s
+    Cholesky factors mapped by (kappa, -e^{-2 tau}); kappa + e^{-2 tau} b =
+    -(gamma_r - 1) exactly, which takes out their cancellation.  rest is
+    (1 - alpha) h, not h - tau, so s^2 stays accurate as alpha -> 1.  At
+    alpha = 0 the coefficients are 0, at alpha = 1 (q0, q1, 0), exactly.
+    Below h of about 1e-80, O(h^4) terms underflow, which raises UlmcError.
+    """
+    tau, rest = alphas * h, (1.0 - alphas) * h
+    with np.errstate(divide="ignore", invalid="ignore"):  # reported just below
+        excess_l, rho_l, excess_r, rho_r, b, decay, q, det = _split_terms(h, tau, rest)
+        decay_half = np.exp(-2.0 * tau)
+        # terms 2 tau and tau at leading order: one bit lost
+        kappa = -np.expm1(-2.0 * tau) - decay_half * excess_l
+        x = kappa * rho_r - decay * rho_l * excess_r
+        # grouped so that no product of two O(h^3) terms underflows
+        s2 = tau * rest * (x / q) * (x / det) + decay * rho_l * (rho_r / q)
+        cov_r = kappa * tau * rest * b - decay_half * rho_l * h  # both terms <= 0
+        p1 = math.sqrt(rho) / det * decay * cov_r
+    coef = np.stack([kappa * tau / math.sqrt(h), p1, np.sqrt(s2)])
+    if not np.isfinite(coef).all():
+        raise UlmcError(f"the W1 law of a step of length {h} underflows")
+    coef[:, alphas == 0.0] = 0.0
+    coef[:, alphas == 1.0] = np.array([q0, q1, 0.0])[:, None]
+    return coef
+
+
+def _whole_step(h, alphas, chains, dim, rng):
+    """(W1, W2, W3) of fresh steps of length h, one row per chain, with at
+    most one midpoint each.
+
+    One (k, chains, dim) block of normals is drawn.  z0 and z1 give the
+    whole step's H = sqrt(h) z0 and G - gamma H = sqrt(rho) z1, so W2 = H -
+    e^{-2h} G and W3 = e^{-2h} G take scalar coefficients.  alphas of shape
+    (chains,) makes k = 3, z2 completing W1 given (H, G); alphas None makes
+    k = 2 and W1 None.  Var(G) overflows above a length of about 177, which
+    raises UlmcError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        rho = _gain_residual(h)[1]
+    if not np.isfinite(rho):
+        raise UlmcError(f"the (H, G) law of an interval of length {h} overflows")
+    q0 = 0.5 * _exp_tail(-2.0 * h, 2) / math.sqrt(h)  # Cov(W2, H) / sqrt(h)
+    r0 = -0.5 * math.expm1(-2.0 * h) / math.sqrt(h)  # Cov(W3, H) / sqrt(h)
+    r1 = math.exp(-2.0 * h) * math.sqrt(rho)
+    z = rng.standard_normal((2 if alphas is None else 3, chains, dim))
+    # the outputs overwrite z: a call holds at most k + 1 (chains, dim) blocks
+    if alphas is None:
+        w3 = z[0] * r0
+    else:  # W1 while z is unscaled, then W3 in z[2]
+        p0, p1, s = _midpoint_coefficients(h, alphas, rho, q0, -r1)[..., None]
+        w1 = p0 * z[0]
+        z[2] *= s
+        w1 += z[2]
+        np.multiply(z[1], p1, out=z[2])
+        w1 += z[2]
+        w3 = np.multiply(z[0], r0, out=z[2])
+    z[1] *= r1
+    w3 += z[1]
+    z[0] *= q0
+    z[0] -= z[1]  # W2; where alpha = 1, p1 = -r1 and s = 0, so W1 == W2 bitwise
+    if alphas is None:
+        z[1] = w3
+        return None, z[0], z[1]
+    z[1] = w1
+    return z[1], z[0], z[2]
+
+
 def step_increments(h, alpha, dim, rng) -> StepIncrements:
     """Sample (W1, W2, W3) for one step of length h with midpoint alpha*h.
 
-    The interval [0, h] is partitioned at alpha*h; each cell draws its
-    (H, G) pair, cells left to right.  For alpha in {0, 1} the empty cell
-    contributes exact zeros.
+    Three normals per coordinate: the whole step's (H, G), then W1 given
+    them.  For alpha = 0, W1 is exactly 0; for alpha = 1, exactly W2.
     """
     return StepIncrements(*(w[0] for w in step_increments_batch(h, [alpha], dim, rng)))
 
@@ -304,15 +389,14 @@ def step_increments(h, alpha, dim, rng) -> StepIncrements:
 def step_increments_batch(h, alphas, dim, rng) -> StepIncrements:
     """step_increments for per-chain midpoints.
 
-    alphas has shape (k,); returned arrays have shape (k, dim).  Each cell
-    is drawn as one (k, dim) block, so k = 1 reproduces step_increments.
+    alphas has shape (k,); returned arrays have shape (k, dim), drawn as
+    one (3, k, dim) block, so k = 1 reproduces step_increments.
     """
     _require_length(h)
     alphas = np.asarray(alphas, dtype=float)
     if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
         raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
-    w1, w2, w3 = _fresh_increments(h, (alphas * h)[:, None], dim, rng)
-    return StepIncrements(W1=w1[0], W2=w2, W3=w3)
+    return StepIncrements(*_whole_step(h, alphas, len(alphas), dim, rng))
 
 
 def exp_euler_increments(h, dim, rng) -> ExpEulerIncrements:
@@ -321,20 +405,22 @@ def exp_euler_increments(h, dim, rng) -> ExpEulerIncrements:
 
 
 def exp_euler_increments_batch(h, chains, dim, rng) -> ExpEulerIncrements:
-    """exp_euler_increments for `chains` chains, as (chains, dim) arrays."""
+    """exp_euler_increments for `chains` chains, as (chains, dim) arrays
+    drawn as one (2, chains, dim) block."""
     _require_length(h)
-    _, w2, w3 = _fresh_increments(h, np.empty((chains, 0)), dim, rng)
+    _, w2, w3 = _whole_step(h, None, chains, dim, rng)
     return ExpEulerIncrements(W2=w2, W3=w3)
 
 
 def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     """Sample (W1_1..W1_R, W2, W3) jointly consistent with one path.
 
-    [0, h] is partitioned at the cell boundaries i*h/R interleaved with the
-    midpoints alpha_i*h (alpha_i must lie in its cell [ (i-1)/R, i/R ]); one
-    (H, G) pair is drawn per cell, left to right, and all outputs are
-    linear combinations of those draws.  alphas has shape (R,), or
-    (chains, R) for a batch, when W1 has shape (chains, R, dim).
+    alpha_i must lie in its cell [(i-1)/R, i/R].  R = 1 draws as
+    step_increments does.  For R > 1, [0, h] is partitioned at the cell
+    boundaries i*h/R interleaved with the midpoints alpha_i*h; one (H, G)
+    pair is drawn per cell, left to right, and all outputs are linear
+    combinations of those draws.  alphas has shape (R,), or (chains, R) for
+    a batch, when W1 has shape (chains, R, dim).
     """
     _require_length(h)
     R = int(R)
@@ -346,8 +432,13 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     low = np.arange(R) / R
     if np.any((alphas < low - 1e-12) | (alphas > low + 1.0 / R + 1e-12)):
         raise UlmcError(f"midpoint i must lie in [(i-1)/{R}, i/{R}], got {alphas}")
-    w1, w2, w3 = _fresh_increments(h, np.atleast_2d(alphas * h), dim, rng)
-    w1 = np.stack(w1, axis=1)
+    rows = np.atleast_2d(alphas)
+    if R == 1:
+        w1, w2, w3 = _whole_step(h, np.clip(rows[:, 0], 0.0, 1.0), len(rows), dim, rng)
+        w1 = w1[:, None]
+    else:
+        w1, w2, w3 = _fresh_increments(h, rows * h, dim, rng)
+        w1 = np.stack(w1, axis=1)
     if alphas.ndim == 1:
         return ParallelIncrements(W1=w1[0], W2=w2[0], W3=w3[0])
     return ParallelIncrements(W1=w1, W2=w2, W3=w3)

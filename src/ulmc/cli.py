@@ -88,8 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="print the step-size rule as JSON")
     add_common(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--kappa", type=float, required=True)
+    # required, but checked in cmd_schedule: argparse's required=True ignores
+    # the defaults a config file sets
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--kappa", type=float)
     p.add_argument("--c-const", type=float, default=0.5)
     p.add_argument("--parallel", action="store_true", help="use the R-midpoint rule")
     p.add_argument("--c-r", type=float, default=1.0)
@@ -231,6 +233,9 @@ def cmd_coupled_error(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    missing = [f"--{name}" for name in ("epsilon", "kappa") if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"schedule needs {' and '.join(missing)}, as a flag or config key")
     if args.parallel:
         sched = schedule_parallel(args.epsilon, args.kappa, C=args.c_const,
                                   c_R=args.c_r, c_K=args.c_k)

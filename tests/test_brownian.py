@@ -21,6 +21,7 @@ from ulmc.brownian import (
     BrownianPathStore,
     _residual_var,
     exp_euler_increments,
+    exp_euler_increments_batch,
     gh_covariance,
     step_increments_batch,
 )
@@ -37,6 +38,33 @@ def mp_gh_covariance(t):
     """Cov of (H, G) over length t as an mpmath matrix (call under workdps)."""
     cov = mp.expm1(2 * t) / 2
     return mp.matrix([[t, cov], [cov, mp.expm1(4 * t) / 4]])
+
+
+def mp_w_covariance(h, alpha):
+    """Cov of (W1, W2, W3) for a step of length h with midpoint alpha h, as an
+    mpmath matrix (call under workdps)."""
+    h = mp.mpf(h)
+    tau = mp.mpf(alpha) * h
+    weight_sq = lambda t: t + mp.expm1(-2 * t) - mp.expm1(-4 * t) / 4
+    w1_g = mp.sinh(tau) ** 2  # Cov(W1, G), and W3 = e^{-2h} G
+    c12 = tau + mp.expm1(-2 * tau) / 2 - mp.exp(-2 * h) * w1_g
+    c13 = mp.exp(-2 * h) * w1_g
+    c23 = -mp.expm1(-2 * h) / 2 + mp.expm1(-4 * h) / 4
+    return mp.matrix([
+        [weight_sq(tau), c12, c13],
+        [c12, weight_sq(h), c23],
+        [c13, c23, -mp.expm1(-4 * h) / 4],
+    ])
+
+
+class UnitNormals:
+    """Stands in for a Generator: in every (k, chains, dim) block, normal k
+    is 1 in coordinate k and 0 elsewhere, so with dim = k coordinate j of
+    each output reads that output's coefficient on normal j."""
+
+    def standard_normal(self, shape):
+        k, chains, dim = shape
+        return np.tile(np.eye(k, dim)[:, None, :], (1, chains, 1))
 
 
 class TestIntervalCovariance:
@@ -320,6 +348,62 @@ class TestStepIncrements:
         )
         oracle = quad(lambda s: (1 - np.exp(-2 * (h - s))) ** 2, 0, h)[0]
         np.testing.assert_allclose(np.var(inc.W2), oracle, rtol=MC_RTOL)
+
+
+class TestWholeStepDraw:
+    STEPS = (1e-4, 1e-3, 0.05, 1.0)
+    ALPHAS = np.array([1e-6, 1e-3, 0.3, 0.9, 0.999, 1 - 1e-4, 1 - 1e-6])
+
+    @pytest.mark.parametrize("h", STEPS)
+    def test_law_matches_mpmath(self, h):
+        inc = step_increments_batch(h, self.ALPHAS, 3, UnitNormals())
+        for row, alpha in enumerate(self.ALPHAS):
+            coef = np.stack([inc.W1[row], inc.W2[row], inc.W3[row]])
+            assert np.all(coef[1:, 2] == 0.0)  # W2, W3 read only the whole step
+            with mp.workdps(50):
+                cov = mp_w_covariance(h, alpha)
+                # Var(W1 | W2, W3), which is Var(W1 | H, G)
+                det = cov[1, 1] * cov[2, 2] - cov[1, 2] ** 2
+                explained = (cov[0, 1] ** 2 * cov[2, 2] + cov[0, 2] ** 2 * cov[1, 1]
+                             - 2 * cov[0, 1] * cov[0, 2] * cov[1, 2]) / det
+                s2 = float(cov[0, 0] - explained)
+                oracle = np.array(cov.tolist(), dtype=float)
+            scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+            assert np.all(np.abs(coef @ coef.T - oracle) <= 1e-12 * scale), alpha
+            # s^2 is not a difference: no cancellation as alpha -> 1
+            np.testing.assert_allclose(coef[0, 2] ** 2, s2, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("h", STEPS)
+    def test_endpoint_midpoints_are_exact(self, h):
+        alphas = np.array([0.0, 1.0, 0.4, 1.0, 0.0])
+        inc = step_increments_batch(h, alphas, 6, np.random.default_rng(23))
+        assert np.all(inc.W1[alphas == 0.0] == 0.0)
+        assert inc.W1[alphas == 1.0].tobytes() == inc.W2[alphas == 1.0].tobytes()
+        assert np.all(inc.W1[2] != 0.0)
+
+    def test_steps_whose_law_underflows_raise(self):
+        alphas = np.array([2.0**-53, 0.5, 1 - 2.0**-53])
+        inc = step_increments_batch(1e-60, alphas, 2, np.random.default_rng(25))
+        assert all(np.all(np.isfinite(w)) for w in inc)
+        with pytest.raises(UlmcError, match="underflows"):
+            step_increments_batch(1e-90, alphas, 2, np.random.default_rng(25))
+
+    @pytest.mark.parametrize(
+        "k, draw",
+        [
+            (3, lambda rng: step_increments_batch(0.05, np.full(5, 0.3), 4, rng)),
+            (3, lambda rng: ulmc.parallel_step_increments(0.05, 1, np.full((5, 1), 0.3), 4, rng)),
+            (2, lambda rng: exp_euler_increments_batch(0.05, 5, 4, rng)),
+        ],
+        ids=["step_increments_batch", "parallel_r1", "exp_euler_increments_batch"],
+    )
+    def test_draw_budget(self, k, draw):
+        # counted at the generator: k normals per chain and coordinate
+        rng = np.random.default_rng(24)
+        clone = copy.deepcopy(rng)
+        draw(rng)
+        clone.standard_normal((k, 5, 4))
+        assert rng.bit_generator.state == clone.bit_generator.state
 
 
 class TestParallelIncrements:

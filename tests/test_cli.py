@@ -108,6 +108,24 @@ class TestScheduleCommand:
     def test_invalid_epsilon_is_config_error(self, capsys):
         assert run_cli("schedule", "--epsilon", "1.5", "--kappa", "1") == 2
 
+    def test_epsilon_and_kappa_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "schedule.json"
+        cfg.write_text(json.dumps({"epsilon": 0.1, "kappa": 10}))
+        assert run_cli("schedule", "--config", str(cfg)) == 0
+        from_config = json.loads(capsys.readouterr().out)
+        assert run_cli("schedule", "--epsilon", "0.1", "--kappa", "10") == 0
+        assert from_config == json.loads(capsys.readouterr().out)
+
+    def test_missing_epsilon_or_kappa_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "partial.json"
+        cfg.write_text(json.dumps({"epsilon": 0.1}))
+        assert run_cli("schedule", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--kappa" in err and "--epsilon" not in err
+        assert run_cli("schedule") == 2
+        err = capsys.readouterr().err
+        assert "--epsilon and --kappa" in err
+
 
 class TestConvergenceCommand:
     def test_csv_columns(self, tmp_path):
