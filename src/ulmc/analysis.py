@@ -76,17 +76,11 @@ class ContractionResult:
 
 @dataclass
 class CoupledErrorResult:
-    """Rows (h, method, mean_error) plus per-method log-log slope fits.
-
-    reference_self_error is the error of the reference discretization re-run
-    at its own step size on the same paths (a consistency check; it is kept
-    out of the rows so it cannot distort the slope fits).
-    """
+    """Rows (h, method, mean_error) plus per-method log-log slope fits."""
 
     rows: list
     slopes: dict
     errors: dict = field(default_factory=dict)  # (h, method) -> per-chain errors
-    reference_self_error: Optional[float] = None
 
 
 @dataclass
@@ -396,21 +390,25 @@ def coupled_error_experiment(
     chains: int = 10,
     methods=_COUPLED_METHODS,
     x0=None,
-    check_reference: bool = False,
 ) -> CoupledErrorResult:
     """Strong error at time T of each (h, method) against a shared-path
     fine reference.
 
-    One Brownian path per chain lives in a refinable interval store; the
-    reference is the exponential integrator at min(h)/reference_refinement,
-    and every method consumes functionals of the same path (midpoints are
-    obtained by conditional splitting on demand).  Reports the chain-mean of
-    ||x_method(T) - x_ref(T)|| per row and a log-log slope per method.
-    With check_reference the reference is re-run at its own step on the same
-    paths and the worst discrepancy is reported (it should be ~0).  A chain
-    whose state or error stops being finite raises UlmcError.
+    Each chain's Brownian path is one fixed grid of cells of length
+    min(h)/reference_refinement, which every h divides (`BrownianPathStore`).
+    The reference is the exponential integrator stepping cell by cell, and
+    every method's increments are exact functionals of the same path.  One
+    stream of the seed draws the cells, then for each h in order rmm's
+    (n_steps, chains) midpoint fractions and the normal block that
+    completes W1.  Reports the chain-mean of ||x_method(T) - x_ref(T)|| per
+    row and a log-log slope per method.  A chain whose state or error stops
+    being finite raises UlmcError.
     """
     h_values = [float(h) for h in h_values]
+    if not h_values or not all(math.isfinite(h) and h > 0.0 for h in h_values):
+        raise ConfigError(f"step sizes must be positive and finite, got {h_values}")
+    if not (math.isfinite(total_time) and total_time > 0.0):
+        raise ConfigError(f"total time must be positive and finite, got {total_time}")
     if reference_refinement < 32:
         raise ConfigError("reference refinement must be >= 32")
     if chains < 1:
@@ -424,34 +422,26 @@ def coupled_error_experiment(
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ConfigError(f"step size {h} does not divide T={total_time}")
         steps_per_h[h] = int(round(n))
-    h_min = min(h_values)
-    n_ref = steps_per_h[h_min] * reference_refinement
+    n_ref = steps_per_h[min(h_values)] * reference_refinement
 
-    start = _resolve_start(target, x0)
-
-    seeds = np.random.SeedSequence(seed).spawn(chains)
-    per_chain = {(h, m): [] for h in h_values for m in methods}
-    self_errors = []
-    for chain_seq in seeds:
-        rng = np.random.default_rng(chain_seq)
-        store = BrownianPathStore(total_time, target.dim, rng)
-        x_ref = _drive_on_path(target, "exp_euler_uld", store, n_ref, start, rng)
-        if check_reference:
-            # identical discretization on the identical path
-            x_again = _drive_on_path(target, "exp_euler_uld", store, n_ref, start, rng)
-            self_errors.append(float(np.linalg.norm(x_again - x_ref)))
-        for h in h_values:
-            for method in methods:
-                x_end = _drive_on_path(target, method, store, steps_per_h[h], start, rng)
-                error = float(np.linalg.norm(x_end - x_ref))
-                if not math.isfinite(error):  # finite states can still overflow here
-                    raise UlmcError(f"{method} error at h={h} is not finite: chains diverged")
-                per_chain[(h, method)].append(error)
-
-    rows = []
+    start = np.tile(_resolve_start(target, x0), (chains, 1))
+    rng = np.random.default_rng(seed)
+    path = BrownianPathStore(total_time, n_ref, chains, target.dim, rng)
+    x_ref = _drive_on_path(target, "exp_euler_uld", total_time, path.increments(n_ref), start)
+    errors = {}
     for h in h_values:
+        n = steps_per_h[h]
+        alphas = rng.uniform(size=(n, chains)) if "rmm" in methods else None
+        inc = path.increments(n, alphas)
         for method in methods:
-            rows.append((h, method, float(np.mean(per_chain[(h, method)]))))
+            x_end = _drive_on_path(target, method, total_time, inc, start, alphas)
+            error = np.linalg.norm(x_end - x_ref, axis=1)
+            if not np.isfinite(error).all():  # finite states can still overflow here
+                raise UlmcError(f"{method} error at h={h} is not finite: chains diverged")
+            errors[(h, method)] = error
+
+    rows = [(h, method, float(np.mean(errors[(h, method)])))
+            for h in h_values for method in methods]
     slopes = {}
     for method in methods:
         logs_h = np.log([h for h, m, _ in rows if m == method])
@@ -460,29 +450,21 @@ def coupled_error_experiment(
             slopes[method] = float(np.polyfit(logs_h, logs_e, 1)[0])
         else:
             slopes[method] = float("nan")
-    return CoupledErrorResult(
-        rows=rows,
-        slopes=slopes,
-        errors={k: np.asarray(vals) for k, vals in per_chain.items()},
-        reference_self_error=float(np.max(self_errors)) if self_errors else None,
-    )
+    return CoupledErrorResult(rows=rows, slopes=slopes, errors=errors)
 
 
-def _drive_on_path(target, method, store, n_steps, start, rng):
-    """Final x of n_steps equal steps of method over the store's path, from
-    start at zero velocity; rmm draws its midpoint fractions from rng."""
-    total = store.total_time
-    state = SamplerState(x=start.copy(), v=np.zeros_like(start), step=0)
-    for j in range(n_steps):
-        t0 = total * j / n_steps
-        t1 = total * (j + 1) / n_steps
+def _drive_on_path(target, method, total_time, inc, start, alphas=None):
+    """Final (chains, d) x of method's steps over [0, total_time] on the
+    (n_steps, chains, d) increments inc, from start at zero velocity; rmm
+    takes its (n_steps, chains) midpoint fractions from alphas."""
+    w1, w2, w3 = inc
+    h = total_time / len(w2)
+    state = SamplerState(x=start, v=np.zeros_like(start), step=0)
+    for j in range(len(w2)):
         if method == "rmm":
-            alpha = rng.uniform()
-            inc = StepIncrements(*store.increments(t0, t1, t0 + alpha * (t1 - t0)))
-            state = rmm_step(state, target, t1 - t0, alpha, inc)
+            state = rmm_step(state, target, h, alphas[j], StepIncrements(w1[j], w2[j], w3[j]))
         else:
-            inc = ExpEulerIncrements(*store.increments(t0, t1)[1:])
-            state = exponential_euler_uld_step(state, target, t1 - t0, inc)
+            state = exponential_euler_uld_step(state, target, h, ExpEulerIncrements(w2[j], w3[j]))
         _require_finite(state, method)
     return state.x
 

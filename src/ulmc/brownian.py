@@ -1,6 +1,6 @@
 """Exact sampling of the correlated Gaussian functionals of Brownian motion
-used by the underdamped Langevin steppers, plus a composable/splittable
-interval store for coupling runs at different step sizes to one path.
+used by the underdamped Langevin steppers, plus a fixed-grid path store for
+coupling runs at different step sizes to one path.
 
 For an interval of length t starting at (local time) 0, the stored
 functionals are
@@ -24,12 +24,12 @@ RNG draw order is fixed for reproducibility.  A step with at most one
 midpoint draws one (k, chains, dim) block of normals: z0 and z1 give the
 whole step's (H, G), and z2, drawn when there is a midpoint, completes W1
 given them.  Cells, each drawing H before G, left to right, are kept only
-for steps with R > 1 midpoints and for the path store.
+for steps with R > 1 midpoints and for the path store, which draws all its
+cells up front and then one block per set of midpoint steps.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -444,82 +444,68 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     return ParallelIncrements(W1=w1, W2=w2, W3=w3)
 
 
-# Base cells have unit length: Var G of a cell overflows past a length of
-# about 177, and unit cells keep every stored value far from that.
-MAX_CELL = 1.0
-# Coarse grids computed as T*j/n for different n land within rounding of
-# each other; points this close are one breakpoint.
-SNAP_TOL = 1e-9
-
-
 class BrownianPathStore:
-    """One Brownian path over [0, T], refinable to any breakpoint on demand.
+    """One Brownian path per chain over [0, T], as a fixed grid of n_cells
+    equal cells.
 
-    The path is seeded as unit-length base cells (so stored values stay
-    finite for total times up to 1e4 and beyond); `ensure` conditionally
-    splits cells, and functionals over any sub-span are exact compositions
-    of the current cells.  A store must be owned by a single consumer; it
-    mutates on refinement.
+    Every cell's (H, G) is drawn once, as `_sample_gh` draws (n_cells,
+    chains) lengths: cells left to right, per cell a (chains, dim) block for
+    H, then one for G.  The path holds 16 chains n_cells dim bytes.  Steps
+    are runs of whole cells, so nothing is ever refined.
     """
 
-    def __init__(self, total_time, dim, rng):
+    def __init__(self, total_time, n_cells, chains, dim, rng):
         _require_length(total_time)
-        self.total_time = float(total_time)
-        self.dim = dim
+        self.n_cells = int(n_cells)
+        self.cell = float(total_time) / self.n_cells
         self.rng = rng
-        n_base = max(1, int(np.ceil(self.total_time / MAX_CELL)))
-        edges = np.linspace(0.0, self.total_time, n_base + 1)
-        self._breaks = list(edges)
-        self._cells = [
-            sample_interval(b - a, dim, rng)
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
+        self.H, self.G = _sample_gh(np.full((self.n_cells, chains), self.cell), dim, rng)
 
-    def _locate(self, t):
-        """Index of an existing breakpoint equal to t (within SNAP_TOL)."""
-        i = bisect.bisect_left(self._breaks, t - SNAP_TOL)
-        if i < len(self._breaks) and abs(self._breaks[i] - t) <= SNAP_TOL:
-            return i
-        return None
+    def increments(self, n_steps, alphas=None):
+        """(W1, W2, W3) of n_steps equal steps over [0, T], each of shape
+        (n_steps, chains, dim).
 
-    def ensure(self, t):
-        """Make t a breakpoint, conditionally splitting the containing cell."""
-        if not (0.0 <= t <= self.total_time + SNAP_TOL):
-            raise UlmcError(f"time {t} outside [0, {self.total_time}]")
-        existing = self._locate(t)
-        if existing is not None:
-            return existing
-        i = bisect.bisect_left(self._breaks, t) - 1
-        left_edge = self._breaks[i]
-        left, right = split(self._cells[i], t - left_edge, self.rng)
-        self._cells[i : i + 1] = [left, right]
-        self._breaks.insert(i + 1, t)
-        return i + 1
-
-    def increments(self, t0, t1, t_mid=None):
-        """(W1, W2, W3) of the step [t0, t1], with optional midpoint t_mid.
-
-        Weights are anchored at t0, matching a step of length t1 - t0; W1 is
-        None when no midpoint is requested.
+        alphas (n_steps, chains) are midpoint fractions; without them W1 is
+        None.  W2 and W3 sum each step's cells, G weighted by e^{-2 span} <= 1
+        from the cell's start to the step's end.  W1 sums the cells before
+        the midpoint the same way, weighted to the midpoint, plus the rest of
+        the midpoint's cell, which is the W1 of a one-cell step: it is drawn
+        given that cell's (z0, z1), as `_whole_step` draws it, with one fresh
+        (n_steps, chains, dim) normal block.
         """
-        if not (t0 < t1):
-            raise UlmcError("need t0 < t1")
-        if t_mid is not None and not (t0 - SNAP_TOL <= t_mid <= t1):
-            raise UlmcError("midpoint must lie inside the step")
-        self.ensure(t0)
-        self.ensure(t1)
-        if t_mid is not None:
-            self.ensure(t_mid)
-        # locate after all refinements; each split shifts later indices
-        i0, i1 = self._locate(t0), self._locate(t1)
-        k = self._locate(t_mid) - i0 if t_mid is not None else 0  # cells before t_mid
-        cells = self._cells[i0:i1]
-        w1, w2, w3 = _combine(
-            np.array([c.H for c in cells]),
-            np.array([c.G for c in cells]),
-            np.array(self._breaks[i0 : i1 + 1]),
-            [k] if k else [],
-        )
-        if t_mid is None:
-            return None, w2, w3
-        return (w1[0] if k else np.zeros(self.dim)), w2, w3
+        if n_steps < 1 or self.n_cells % n_steps:
+            raise UlmcError(f"{n_steps} steps do not divide a path of {self.n_cells} cells")
+        k = self.n_cells // n_steps
+        shape = (n_steps, k) + self.H.shape[1:]
+        cell_h, cell_g = self.H.reshape(shape), self.G.reshape(shape)
+        w3 = np.einsum("k,nkcd->ncd", np.exp(-2.0 * self.cell * np.arange(k, 0, -1)), cell_g)
+        w2 = cell_h.sum(axis=1)
+        w2 -= w3
+        if alphas is None:
+            return StepIncrements(None, w2, w3)
+        alphas = np.asarray(alphas, dtype=float)
+        if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
+            raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
+        at = alphas * k  # the midpoint, in cells from the step's start
+        mid = np.minimum(at.astype(int), k - 1)  # the cell that holds it
+        cells = np.arange(k)[:, None]
+        before = cells < mid[:, None]  # (n_steps, k, chains)
+        # a cell before the midpoint starts at - cell >= 1 cells before it; the
+        # floor only keeps the masked-out cells' weights from overflowing
+        span = np.maximum(at[:, None] - cells, 0.0)
+        to_mid = np.where(before, np.exp(-2.0 * self.cell * span), 0.0)
+        w1 = np.einsum("nkc,nkcd->ncd", before, cell_h)
+        w1 -= np.einsum("nkc,nkcd->ncd", to_mid, cell_g)
+
+        excess, rho = _gain_residual(self.cell)
+        pick = mid[:, None, :, None]
+        z0 = np.take_along_axis(cell_h, pick, axis=1)[:, 0]
+        z1 = np.take_along_axis(cell_g, pick, axis=1)[:, 0]
+        z1 -= (1.0 + excess) * z0
+        z0 /= math.sqrt(self.cell)
+        z1 /= math.sqrt(rho)
+        q0 = 0.5 * _exp_tail(-2.0 * self.cell, 2) / math.sqrt(self.cell)
+        q1 = -math.exp(-2.0 * self.cell) * math.sqrt(rho)
+        p0, p1, s = _midpoint_coefficients(self.cell, at - mid, rho, q0, q1)[..., None]
+        w1 += p0 * z0 + p1 * z1 + s * self.rng.standard_normal(w2.shape)
+        return StepIncrements(w1, w2, w3)

@@ -201,6 +201,8 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
         raise ConfigError(f"unknown method {method!r}")
     if n_steps < 0:
         raise ScheduleError(f"iteration count must be >= 0, got {n_steps}")
+    if R < 1:
+        raise ScheduleError(f"midpoint count must be >= 1, got {R}")
     counter = GradientCounter(target)
     counted = counter.wrapped()
     rng = np.random.default_rng(seed)

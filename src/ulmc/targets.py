@@ -133,8 +133,8 @@ def quadratic_target(diag, center) -> TargetSpec:
     """
     diag = np.asarray(diag, dtype=float)
     center = np.asarray(center, dtype=float)
-    if diag.ndim != 1 or diag.shape != center.shape:
-        raise InvalidTargetError("diag and center must be 1-D arrays of equal length")
+    if diag.ndim != 1 or diag.size == 0 or diag.shape != center.shape:
+        raise InvalidTargetError("diag and center must be non-empty 1-D arrays of equal length")
     if not np.all(diag > 0.0):
         raise InvalidTargetError("all diagonal entries must be positive")
 

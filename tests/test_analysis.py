@@ -356,13 +356,6 @@ class TestContraction:
 
 
 class TestCoupledExperiment:
-    def test_reference_self_consistency(self):
-        target = ulmc.quadratic_target([1.0, 3.0], [0.0, 0.0])
-        res = ulmc.coupled_error_experiment(
-            target, [0.1], 1.0, seed=5, chains=2, check_reference=True
-        )
-        assert res.reference_self_error <= 1e-10
-
     def test_quadratic_slopes_and_ordering(self):
         diag = np.linspace(1.0, 10.0, 2)
         target = ulmc.quadratic_target(diag, np.zeros(2))

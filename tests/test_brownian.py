@@ -1,11 +1,12 @@
 """Correlated Gaussian increments: analytic covariances, composition algebra,
-conditional splitting and the refinable path store.
+conditional splitting and the fixed-grid path store.
 
 Monte Carlo checks exploit that coordinates are iid: one call with dim=10^5
 yields 10^5 independent scalar draws.
 """
 
 import copy
+import functools
 
 import mpmath as mp
 import numpy as np
@@ -446,62 +447,69 @@ class TestParallelIncrements:
 
 
 class TestPathStore:
-    def test_long_paths_stay_finite(self):
-        rng = np.random.default_rng(17)
-        store = BrownianPathStore(10_000.0, 2, rng)
-        for cell in store._cells:
-            assert np.all(np.isfinite(cell.H))
-            assert np.all(np.isfinite(cell.G))
-        w1, w2, w3 = store.increments(9_999.3, 9_999.4, 9_999.33)
-        for arr in (w1, w2, w3):
-            assert np.all(np.isfinite(arr))
+    def test_step_law_matches_closed_form(self):
+        # one step of four cells; chains carry alpha = 0, interior points in
+        # the first and the third cell, a cell edge, 0.999 and 1, and
+        # coordinates are the Monte Carlo draws.  At 0.075 the fresh normal
+        # carries a third of Var(W1).
+        alphas = np.array([[0.0, 0.075, 0.6, 0.5, 0.999, 1.0]])
+        store = BrownianPathStore(0.2, 4, alphas.shape[1], MC_DIM, np.random.default_rng(22))
+        inc = store.increments(1, alphas)
+        for c, alpha in enumerate(alphas[0]):
+            emp = empirical_cov(inc.W1[0, c], inc.W2[0, c], inc.W3[0, c])
+            oracle = w_covariance(0.2, alpha)
+            scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+            seen = scale > 0.0  # W1 is identically 0 at alpha = 0
+            np.testing.assert_allclose(emp[seen] / scale[seen], oracle[seen] / scale[seen],
+                                       atol=0.02)
 
-    def test_long_spans_stay_finite(self):
-        rng = np.random.default_rng(19)
-        store = BrownianPathStore(1000.0, 2, rng)
-        w1, w2, w3 = store.increments(0.0, 400.0, 399.5)
-        for arr in (w1, w2, w3):
-            assert np.all(np.isfinite(arr))
-        # W1 up to the midpoint is W2 of the step that ends there, and W3
-        # restarts at any breakpoint s with the decay e^{-2(t1 - s)}
-        _, w2_mid, w3_mid = store.increments(0.0, 399.5)
-        _, _, w3_tail = store.increments(399.5, 400.0)
-        np.testing.assert_allclose(w1, w2_mid, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(w3, np.exp(-1.0) * w3_mid + w3_tail, rtol=1e-12, atol=1e-12)
+    def test_coarse_steps_compose_their_cells(self):
+        store = BrownianPathStore(1.2, 6, 2, 3, np.random.default_rng(18))
+        inc = store.increments(2)
+        for j in range(2):
+            cells = [ulmc.IntervalStats(store.cell, store.H[i], store.G[i])
+                     for i in range(3 * j, 3 * j + 3)]
+            step = functools.reduce(ulmc.compose, cells)
+            w3 = np.exp(-2.0 * step.length) * step.G
+            np.testing.assert_allclose(inc.W3[j], w3, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(inc.W2[j], step.H - w3, rtol=1e-12, atol=1e-15)
 
-    def test_refinement_preserves_increments(self):
-        rng = np.random.default_rng(18)
-        store = BrownianPathStore(2.0, 3, rng)
-        _, w2_before, w3_before = store.increments(0.25, 0.75)
-        for t in (0.3, 0.4, 0.5, 0.6):
-            store.ensure(t)
-        _, w2_after, w3_after = store.increments(0.25, 0.75)
-        np.testing.assert_allclose(w2_after, w2_before, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(w3_after, w3_before, rtol=1e-12, atol=1e-13)
+    def test_endpoint_midpoints(self):
+        store = BrownianPathStore(1.0, 8, 3, 2, np.random.default_rng(23))
+        w1, _, _ = store.increments(2, np.zeros((2, 3)))
+        assert np.all(w1 == 0.0)
+        w1, w2, _ = store.increments(2, np.ones((2, 3)))
+        np.testing.assert_allclose(w1, w2, rtol=1e-12, atol=1e-15)
 
     def test_midpoint_increment_consistency(self):
-        # W1 over [t0, mid] must equal the W2-type functional of the substep
-        rng = np.random.default_rng(19)
-        store = BrownianPathStore(1.0, 2, rng)
-        w1, _, _ = store.increments(0.2, 0.4, 0.3)
-        _, w2_sub, _ = store.increments(0.2, 0.3)
-        np.testing.assert_allclose(w1, w2_sub, rtol=1e-12, atol=1e-14)
+        # a midpoint on a cell edge ends W1 where a step of the finer grid ends
+        store = BrownianPathStore(1.0, 8, 2, 2, np.random.default_rng(19))
+        w1, _, _ = store.increments(2, np.tile([0.25, 0.5], (2, 1)))
+        np.testing.assert_allclose(w1[:, 0], store.increments(8).W2[::4, 0],
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(w1[:, 1], store.increments(4).W2[::2, 1],
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_long_spans_stay_finite(self):
+        # unit cells, steps spanning 500 of them: every G weight is <= 1
+        store = BrownianPathStore(1000.0, 1000, 2, 2, np.random.default_rng(17))
+        for inc in (store.increments(2, np.array([[0.999, 1.0], [0.3, 0.0]])),
+                    store.increments(1000, np.full((1000, 2), 0.5))):
+            for arr in inc:
+                assert np.all(np.isfinite(arr))
+
+    def test_rejects_steps_that_do_not_divide_the_cells(self):
+        store = BrownianPathStore(1.0, 8, 1, 2, np.random.default_rng(21))
+        with pytest.raises(UlmcError):
+            store.increments(3)
 
     def test_deterministic_given_seed(self):
         def build():
             rng = np.random.default_rng(20)
-            store = BrownianPathStore(3.0, 2, rng)
-            return store.increments(0.1, 0.9, 0.55)
+            store = BrownianPathStore(3.0, 12, 3, 2, rng)
+            return store.increments(4, rng.uniform(size=(4, 3)))
 
         first = build()
         second = build()
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
-
-    def test_rejects_out_of_range_times(self):
-        rng = np.random.default_rng(21)
-        store = BrownianPathStore(1.0, 2, rng)
-        with pytest.raises(UlmcError):
-            store.ensure(1.5)
-        with pytest.raises(UlmcError):
-            store.increments(0.5, 0.25)

@@ -74,8 +74,14 @@ class TestSampleCommand:
             )
             assert code == 0, method
 
-    def test_missing_steps_is_config_error(self):
-        assert run_cli("sample", "--quad-diag", "1", "--h", "0.05") == 2
+    def test_missing_steps_is_config_error(self, tmp_path):
+        out = tmp_path / "samples.csv"
+        for argv in (
+            ("--h", "0.05"),
+            ("--h", "0.05", "--n-steps", "2", "--method", "rmm_parallel", "--r-midpoints", "0"),
+        ):
+            assert run_cli("sample", "--quad-diag", "1", *argv, "--out", str(out)) == 2, argv
+            assert not out.exists()
 
     def test_missing_dataset_file_is_runtime_error(self, tmp_path):
         code = run_cli(
@@ -167,11 +173,16 @@ class TestCoupledErrorCommand:
         slopes = [l for l in text if l.startswith("# slope")]
         assert len(slopes) == 2
 
-    def test_incommensurate_grid_is_config_error(self):
-        assert run_cli(
-            "coupled-error", "--quad-diag", "1", "--h", "0.3",
-            "--total-time", "1", "--chains", "1",
-        ) == 2
+    def test_incommensurate_grid_is_config_error(self, tmp_path):
+        # step sizes that do not divide T, and grids with no valid step size
+        out = tmp_path / "coupled.csv"
+        for h, total_time in (("0.3", "1"), (",", "1"), ("0", "1"), ("nan", "1"),
+                              ("-0.1", "1"), ("0.1", "0")):
+            assert run_cli(
+                "coupled-error", "--quad-diag", "1", "--h", h,
+                "--total-time", total_time, "--chains", "1", "--out", str(out),
+            ) == 2, (h, total_time)
+            assert not out.exists()
 
 
 class TestConfigFile:

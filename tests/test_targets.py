@@ -61,6 +61,8 @@ class TestQuadraticTarget:
             quadratic_target([1.0, 0.0], [0.0, 0.0])
         with pytest.raises(InvalidTargetError):
             quadratic_target([1.0, -2.0], [0.0, 0.0])
+        with pytest.raises(InvalidTargetError):
+            quadratic_target([], [])
 
 
 class TestLogisticTarget:
