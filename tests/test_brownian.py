@@ -490,6 +490,16 @@ class TestPathStore:
         np.testing.assert_allclose(w1[:, 1], store.increments(4).W2[::2, 1],
                                    rtol=1e-12, atol=1e-15)
 
+    def test_long_paths_stay_finite(self):
+        # a 10,000-long path of unit cells, one step per cell, a midpoint
+        # inside the last cell as well as every other
+        store = BrownianPathStore(10_000.0, 10_000, 2, 2, np.random.default_rng(17))
+        assert np.all(np.isfinite(store.H))
+        assert np.all(np.isfinite(store.G))
+        alphas = np.full((10_000, 2), 0.33)
+        for arr in store.increments(10_000, alphas):
+            assert np.all(np.isfinite(arr))
+
     def test_long_spans_stay_finite(self):
         # unit cells, steps spanning 500 of them: every G weight is <= 1
         store = BrownianPathStore(1000.0, 1000, 2, 2, np.random.default_rng(17))
