@@ -200,6 +200,8 @@ def cmd_convergence(args) -> int:
         raise ConfigError("convergence study requires a quadratic target")
     target = _make_target(args)
     epsilons = _parse_floats(args.epsilon)
+    if not epsilons:
+        raise ConfigError(f"convergence needs at least one epsilon, got {args.epsilon!r}")
     rows = []
     for idx, eps in enumerate(epsilons):
         sched = schedule(eps, target.kappa, C=args.c_const, L=target.smoothness)

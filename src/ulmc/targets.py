@@ -137,6 +137,8 @@ def quadratic_target(diag, center) -> TargetSpec:
         raise InvalidTargetError("diag and center must be non-empty 1-D arrays of equal length")
     if not np.all(diag > 0.0):
         raise InvalidTargetError("all diagonal entries must be positive")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(center))):
+        raise InvalidTargetError("diag and center must be finite")
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
@@ -156,37 +158,37 @@ def quadratic_target(diag, center) -> TargetSpec:
     )
 
 
-def _sigmoid(z):
-    # branch-free and overflow-safe for |z| well beyond 1e3
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
-
-
 def logistic_target(data: Dataset, lam: float) -> TargetSpec:
     """Ridge-regularized logistic regression potential.
 
     f(theta) = lam/2 ||theta||^2 + (1/n) sum_i log(1 + exp(-y_i x_i^T theta)),
-    gradient  lam*theta - (1/n) sum_i y_i x_i sigma(-y_i x_i^T theta).
+    gradient  lam*theta - (1/n) sum_i y_i x_i sigma(-y_i x_i^T theta),
+    evaluated as lam*theta - (sum_i y_i x_i + sum_i tanh(-m_i/2) y_i x_i)/(2n)
+    for margins m_i = y_i x_i^T theta, since sigma(-m) = (1 + tanh(-m/2))/2: two
+    matrix products and one in-place tanh, overflow-safe for any margin.
 
     m = lam exactly; L from the Hessian bound (estimate_smoothness).  The
     minimizer is computed by gradient descent to ||grad|| <= 1e-8 so that
-    samplers can start from it.  Raises UlmcError when the descent stops
-    unconverged, since a wrong minimizer silently skews the start.
+    samplers can start from it.  Raises UlmcError when the descent meets a
+    non-finite gradient or stops unconverged, since a wrong minimizer
+    silently skews the start.
     """
-    if lam <= 0.0:
-        raise InvalidTargetError(f"regularization must be positive, got {lam}")
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise InvalidTargetError(f"regularization must be finite and positive, got {lam}")
     x_rows = data.features
     y = data.labels
     n = data.n_samples
     d = data.dim
     yx = y[:, None] * x_rows  # (n, d)
+    label_sum = yx.sum(axis=0)
 
     est = estimate_smoothness(data, lam)
 
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)
-        margins = theta @ x_rows.T * (y if theta.ndim == 1 else y[None, :])
-        s = _sigmoid(-margins)  # (n,) or (k, n)
-        return lam * theta - (s @ yx) / n
+        t = (-0.5 * theta) @ yx.T  # -m/2, (n,) or (k, n)
+        np.tanh(t, out=t)
+        return lam * theta - (label_sum + t @ yx) / (2.0 * n)
 
     def value(theta):
         theta = np.asarray(theta, dtype=float)
@@ -228,16 +230,25 @@ def estimate_smoothness(data: Dataset, lam: float) -> SmoothnessEstimate:
 
 
 def _minimize_gradient_descent(gradient, dim, L, m, tol=1e-8, max_iter=200_000):
-    """Minimize a strongly convex potential from 0 with the 2/(L+m) step."""
+    """Minimize a strongly convex potential from 0 with the 2/(L+m) step.
+
+    Raises UlmcError at the first non-finite gradient and when max_iter
+    iterations leave ||grad|| above tol.
+    """
     x = np.zeros(dim)
     step = 2.0 / (L + m)
-    for _ in range(max_iter):
+    for iteration in range(max_iter):
         g = gradient(x)
-        if np.linalg.norm(g) <= tol:
+        norm = np.linalg.norm(g)
+        if norm <= tol:
             return x
+        if not np.isfinite(norm):
+            raise UlmcError(
+                f"gradient descent met a non-finite gradient at iteration {iteration}"
+            )
         x = x - step * g
     residual = np.linalg.norm(gradient(x))
-    if residual > tol:
+    if not residual <= tol:
         raise UlmcError(
             f"gradient descent stopped at ||grad|| = {residual:.3g} > {tol} "
             f"after {max_iter} iterations"

@@ -156,6 +156,11 @@ class TestConvergenceCommand:
         )
         assert code == 2
 
+    def test_empty_grid_is_config_error(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        assert run_cli("convergence", "--epsilon", ",", "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestCoupledErrorCommand:
     def test_csv_and_slope_footer(self, tmp_path):

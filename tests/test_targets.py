@@ -1,5 +1,6 @@
 """Target construction, gradient correctness and dataset ingestion."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,6 +26,21 @@ def central_difference(value, x, step):
         e[i] = step
         grad[i] = (value(x + e) - value(x - e)) / (2.0 * step)
     return grad
+
+
+def mpmath_logistic_gradient(data, lam, theta):
+    """lam*theta - (1/n) sum_i sigma(-m_i) y_i x_i in 50-digit arithmetic."""
+    with mp.workdps(50):
+        weights = []
+        for x, y in zip(data.features, data.labels):
+            margin = mp.mpf(y) * mp.fsum(mp.mpf(a) * mp.mpf(b) for a, b in zip(x, theta))
+            weights.append(mp.mpf(y) / (1 + mp.exp(margin)))
+        return np.array([
+            float(mp.mpf(lam) * mp.mpf(theta[j])
+                  - mp.fsum(w * mp.mpf(x[j]) for w, x in zip(weights, data.features))
+                  / data.n_samples)
+            for j in range(data.dim)
+        ])
 
 
 def random_logistic_data(rng, n=30, d=4):
@@ -63,6 +79,10 @@ class TestQuadraticTarget:
             quadratic_target([1.0, -2.0], [0.0, 0.0])
         with pytest.raises(InvalidTargetError):
             quadratic_target([], [])
+        with pytest.raises(InvalidTargetError):
+            quadratic_target([1.0, 4.0], [np.nan, 0.0])
+        with pytest.raises(InvalidTargetError):
+            quadratic_target([np.inf, 4.0], [0.0, 0.0])
 
 
 class TestLogisticTarget:
@@ -100,6 +120,38 @@ class TestLogisticTarget:
         rows = np.stack([target.gradient(t) for t in thetas])
         np.testing.assert_allclose(batched, rows, rtol=1e-13)
 
+    def test_gradient_matches_mpmath(self):
+        # overlapping classes, and separable ones whose margins at 20 w give
+        # sigma(-m) below 1e-10 for every row; absolute error per coordinate
+        rng = np.random.default_rng(12)
+        overlapping = random_logistic_data(rng, n=40, d=5)
+        w = np.array([1.0, -2.0, 0.5])
+        y = np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0)
+        x = rng.standard_normal((30, 3))
+        x += np.outer(y * (2.0 + rng.uniform(size=30)) - x @ w, w) / (w @ w)
+        separable = Dataset(features=x, labels=y)
+        for data, extra in ((overlapping, []), (separable, [20.0 * w])):
+            target = logistic_target(data, 0.01)
+            yx = data.labels[:, None] * data.features
+            atol = 1e-14 * (1.0 + np.abs(yx).sum(axis=0) / data.n_samples)
+            thetas = np.array(
+                [np.zeros(data.dim), target.minimizer]
+                + [target.minimizer + s * rng.standard_normal(data.dim)
+                   for s in (1e-3, 1.0, 10.0, 100.0)]
+                + extra
+            )
+            if extra:
+                margins = data.labels * (data.features @ extra[0])
+                assert np.all(1.0 / (1.0 + np.exp(margins)) < 1e-10)
+            before = thetas.copy()
+            batched = target.gradient(thetas)
+            for theta, row in zip(thetas, batched):
+                oracle = mpmath_logistic_gradient(data, 0.01, theta)
+                assert np.all(np.abs(row - oracle) <= atol)
+                assert np.all(np.abs(target.gradient(theta) - oracle) <= atol)
+            # the oracle writes only to its own temporaries
+            np.testing.assert_array_equal(thetas, before)
+
     def test_sigmoid_stable_for_huge_margins(self):
         data = Dataset(features=np.array([[1.0]]), labels=np.array([1.0]))
         target = logistic_target(data, 0.01)
@@ -120,6 +172,28 @@ class TestLogisticTarget:
         x = _minimize_gradient_descent(target.gradient, 2, 10.0, 1.0)
         np.testing.assert_allclose(x, target.minimizer, atol=1e-8)
 
+    def test_nonfinite_gradient_raises(self):
+        # a nan gradient stops the descent at once, not after max_iter
+        calls = []
+
+        def nan_gradient(x):
+            calls.append(1)
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(UlmcError, match="non-finite gradient at iteration 0"):
+            _minimize_gradient_descent(nan_gradient, 2, 10.0, 1.0)
+        assert len(calls) == 1
+
+        # finite through the loop, nan at the final residual check
+        calls.clear()
+
+        def late_nan_gradient(x):
+            calls.append(1)
+            return np.ones_like(x) if len(calls) <= 3 else np.full_like(x, np.nan)
+
+        with pytest.raises(UlmcError, match="gradient descent stopped"):
+            _minimize_gradient_descent(late_nan_gradient, 2, 10.0, 1.0, max_iter=3)
+
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(1)
         data = random_logistic_data(rng)
@@ -127,6 +201,9 @@ class TestLogisticTarget:
             logistic_target(data, 0.0)
         with pytest.raises(InvalidTargetError):
             logistic_target(data, -1.0)
+        for lam in (np.inf, np.nan):
+            with pytest.raises(InvalidTargetError, match="finite and positive"):
+                logistic_target(data, lam)
         with pytest.raises(DatasetFormatError):
             Dataset(features=np.zeros((0, 3)), labels=np.zeros(0))
 
