@@ -13,11 +13,17 @@ batch of chains, shape (chains, d).  One loop, `_drive`, runs every method
 on a (chains, d) batch; `run_chain`, `rmm_run`, `parallel_rmm_run` and
 `rmm_run_ensemble` wrap it.  The (epsilon, kappa) -> (h, N) rules live in
 `schedule` and `schedule_parallel`.
+
+A run's draws never depend on its state, so `_drive` makes them one slot
+of steps ahead on a second thread, in the fixed stream order of the seed,
+while the calling thread steps the chains; outputs do not depend on this.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -188,14 +194,157 @@ def _require_finite(state, method):
         raise UlmcError(f"{method} chain state is not finite after step {state.step}")
 
 
+# A slot of the draw ring holds as many whole steps' draws as fit in this
+# many doubles, and at least one step's.
+_SLOT_DOUBLES = 2**16
+
+
+def _draw_plan(method, chains, dim, R):
+    """One step's draws in stream order: the midpoint fractions' shape (None
+    without midpoints), the normal block's shape, and whether the block is
+    asked for one (chains, dim) row at a time (4R rows for R > 1 midpoints,
+    as `brownian._sample_gh` draws them) or whole."""
+    if method == "rmm":
+        return (chains,), (3, chains, dim), False
+    if method == "rmm_parallel" and R == 1:
+        return (chains, 1), (3, chains, dim), False
+    if method == "rmm_parallel":
+        return (chains, R), (4 * R, chains, dim), True
+    if method == "exp_euler_uld":
+        return None, (2, chains, dim), False
+    return None, (chains, dim), False
+
+
+def _steps_per_slot(uniform_shape, normal_shape):
+    per_step = (math.prod(uniform_shape) if uniform_shape else 0) + math.prod(normal_shape)
+    return max(1, _SLOT_DOUBLES // per_step)
+
+
+class _Slot:
+    """The draws of up to `steps` consecutive steps, step by step."""
+
+    def __init__(self, steps, uniform_shape, normal_shape, split):
+        self.uniforms = None if uniform_shape is None else np.empty((steps, *uniform_shape))
+        self.normals = np.empty((steps, *normal_shape))
+        self.split = split
+
+    def fill(self, rng, count):
+        """Draw the first `count` steps, in the order the Generator would."""
+        if self.uniforms is None:  # one call draws the stream of `count` calls
+            rng.standard_normal(out=self.normals[:count])
+            return
+        for s in range(count):
+            rng.random(out=self.uniforms[s])  # bitwise uniform(size=...)
+            rng.standard_normal(out=self.normals[s])
+
+    def draws(self, s):
+        """Step s's draws in request order."""
+        head = () if self.uniforms is None else (self.uniforms[s],)
+        return head + (tuple(self.normals[s]) if self.split else (self.normals[s],))
+
+
+class _Replay:
+    """Stands in for the Generator during one step: hands out the step's
+    draws from a slot, in the draw plan's order, or raises UlmcError.
+
+    The draws are views into the slot.  Steppers may overwrite them, but
+    nothing may keep them past the step: the slot is then refilled.
+    """
+
+    def __init__(self, method, uniform_shape, normal_shape, split):
+        self.method = method
+        normals = normal_shape[0] if split else 1
+        self.kinds = ("uniform",) * (uniform_shape is not None) + ("normal",) * normals
+        self.draws, self.taken = (), 0
+
+    def _take(self, kind, shape):
+        i = self.taken
+        if i == len(self.kinds) or self.kinds[i] != kind or self.draws[i].shape != shape:
+            raise UlmcError(f"{self.method} step asked for {kind} draws of shape {shape} "
+                            f"off its draw plan")
+        self.taken = i + 1
+        return self.draws[i]
+
+    def uniform(self, size):
+        return self._take("uniform", size if isinstance(size, tuple) else (size,))
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self._take("normal", size if isinstance(size, tuple) else (size,))
+        out[...] = self._take("normal", out.shape)
+        return out
+
+    def finish(self):
+        if self.taken != len(self.kinds):
+            raise UlmcError(f"{self.method} step took {self.taken} of the "
+                            f"{len(self.kinds)} draws of its draw plan")
+
+
+class _DrawAhead:
+    """Iterates over a run's steps, yielding a `_Replay` of each step's draws.
+
+    A second thread, the only user of rng while the run lasts, fills a ring
+    of two slots (allocated once, here) with the draws of the coming steps,
+    while the caller steps through the slot filled before.  A slot goes back
+    to the thread only once the caller asks for the step after its last.
+    Use it as a context manager: leaving it stops and joins the thread.
+    """
+
+    def __init__(self, rng, method, n_steps, chains, dim, R):
+        plan = _draw_plan(method, chains, dim, R)
+        self.n_steps = n_steps
+        self.per_slot = max(1, min(n_steps, _steps_per_slot(*plan[:2])))
+        self.replay = _Replay(method, *plan)
+        self._rng = rng
+        self._free, self._full = queue.Queue(), queue.Queue()
+        for _ in range(min(2, math.ceil(n_steps / self.per_slot))):
+            self._free.put(_Slot(self.per_slot, *plan))
+        self._thread = threading.Thread(target=self._produce, name="ulmc-draws", daemon=True)
+
+    def _produce(self):
+        try:
+            for start in range(0, self.n_steps, self.per_slot):
+                slot = self._free.get()
+                if slot is None:  # the run has ended early
+                    return
+                slot.fill(self._rng, min(self.per_slot, self.n_steps - start))
+                self._full.put(slot)
+        except BaseException as exc:  # raised again in the stepping thread
+            self._full.put(exc)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._free.put(None)
+        self._thread.join()
+
+    def __iter__(self):
+        replay = self.replay
+        for start in range(0, self.n_steps, self.per_slot):
+            slot = self._full.get()
+            if isinstance(slot, BaseException):
+                raise slot
+            for s in range(min(self.per_slot, self.n_steps - start)):
+                replay.draws, replay.taken = slot.draws(s), 0
+                yield replay
+                replay.finish()
+            self._free.put(slot)
+
+
 def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
     """The one step loop: n_steps of one method on a (chains, d) batch.
 
     Chains start at x with zero velocity.  Each step draws, for the whole
     batch, the midpoint fractions first and then the Gaussians, from the
-    single stream of the seed.  After each step the state must be finite;
-    every record_every steps record(step, x, v) is called.  Returns the
-    final state and the audited gradient count.
+    single stream of the seed.  The draws are made one slot of steps ahead
+    on a second thread, in that fixed stream order, and replayed to the
+    steppers in place of the Generator (`_DrawAhead`), so outputs do not
+    depend on this.  h, n_steps, R and the state's shape are checked before
+    any draw.  After each step the state must be finite; every record_every
+    steps record(step, x, v) is called.  Returns the final state and the
+    audited gradient count.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -203,30 +352,31 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
         raise ScheduleError(f"iteration count must be >= 0, got {n_steps}")
     if R < 1:
         raise ScheduleError(f"midpoint count must be >= 1, got {R}")
+    state = SamplerState(x=x, v=np.zeros_like(x), step=0)
+    _check_step(h, state, target)
     counter = GradientCounter(target)
     counted = counter.wrapped()
-    rng = np.random.default_rng(seed)
-    state = SamplerState(x=x, v=np.zeros_like(x), step=0)
     cells = np.arange(R)
-    for n in range(n_steps):
-        if method == "rmm":
-            alphas = rng.uniform(size=x.shape[0])
-            inc = step_increments_batch(h, alphas, target.dim, rng)
-            state = rmm_step(state, counted, h, alphas, inc)
-        elif method == "rmm_parallel":
-            alphas = (cells + rng.uniform(size=(x.shape[0], R))) / R
-            incs = parallel_step_increments(h, R, alphas, target.dim, rng)
-            state = parallel_rmm_step(state, counted, h, R, K, alphas, incs)
-        elif method == "euler_uld":
-            state = euler_uld_step(state, counted, h, rng)
-        elif method == "exp_euler_uld":
-            inc = exp_euler_increments_batch(h, x.shape[0], target.dim, rng)
-            state = exponential_euler_uld_step(state, counted, h, inc)
-        else:
-            state = overdamped_lmc_step(state, counted, h, rng)
-        _require_finite(state, method)
-        if record_every and (n + 1) % record_every == 0:
-            record(n + 1, state.x, state.v)
+    with _DrawAhead(np.random.default_rng(seed), method, n_steps, *x.shape, R) as ahead:
+        for n, rng in enumerate(ahead):
+            if method == "rmm":
+                alphas = rng.uniform(size=x.shape[0])
+                inc = step_increments_batch(h, alphas, target.dim, rng)
+                state = rmm_step(state, counted, h, alphas, inc)
+            elif method == "rmm_parallel":
+                alphas = (cells + rng.uniform(size=(x.shape[0], R))) / R
+                incs = parallel_step_increments(h, R, alphas, target.dim, rng)
+                state = parallel_rmm_step(state, counted, h, R, K, alphas, incs)
+            elif method == "euler_uld":
+                state = euler_uld_step(state, counted, h, rng)
+            elif method == "exp_euler_uld":
+                inc = exp_euler_increments_batch(h, x.shape[0], target.dim, rng)
+                state = exponential_euler_uld_step(state, counted, h, inc)
+            else:
+                state = overdamped_lmc_step(state, counted, h, rng)
+            _require_finite(state, method)
+            if record_every and (n + 1) % record_every == 0:
+                record(n + 1, state.x, state.v)
     return state, counter.count
 
 
@@ -490,8 +640,8 @@ def schedule_parallel(epsilon, kappa, C=0.5, L=1.0, c_R=1.0, c_K=3.0) -> Schedul
     N = ceil((2 kappa / h) log(20 / eps^2)).
     """
     _check_schedule_inputs(epsilon, kappa, C, L)
-    if c_R <= 0.0 or c_K <= 0.0:
-        raise ScheduleError("schedule constants must be positive")
+    if not (0.0 < c_R < math.inf and 0.0 < c_K < math.inf):
+        raise ScheduleError("schedule constants must be finite and positive")
     h = min(C, H_MAX_SCHEDULE)
     R = max(1, math.ceil(c_R * math.sqrt(kappa) / epsilon * math.log(1.0 / epsilon)))
     delta = h / R
@@ -503,9 +653,9 @@ def schedule_parallel(epsilon, kappa, C=0.5, L=1.0, c_R=1.0, c_K=3.0) -> Schedul
 def _check_schedule_inputs(epsilon, kappa, C, L):
     if not (0.0 < epsilon < 1.0):
         raise ScheduleError(f"epsilon must be in (0, 1), got {epsilon}")
-    if kappa < 1.0:
-        raise ScheduleError(f"kappa must be >= 1, got {kappa}")
-    if C <= 0.0:
-        raise ScheduleError(f"C must be positive, got {C}")
-    if L <= 0.0:
-        raise ScheduleError(f"L must be positive, got {L}")
+    if not (1.0 <= kappa < math.inf):
+        raise ScheduleError(f"kappa must be finite and >= 1, got {kappa}")
+    if not (0.0 < C < math.inf):
+        raise ScheduleError(f"C must be finite and positive, got {C}")
+    if not (0.0 < L < math.inf):
+        raise ScheduleError(f"L must be finite and positive, got {L}")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,14 @@ class TestScheduleCommand:
 
     def test_invalid_epsilon_is_config_error(self, capsys):
         assert run_cli("schedule", "--epsilon", "1.5", "--kappa", "1") == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--kappa", "nan"), ("--kappa", "inf"), ("--kappa", "10", "--c-const", "nan"),
+        ("--kappa", "10", "--parallel", "--c-r", "inf"),
+    ])
+    def test_nonfinite_inputs_are_config_errors(self, flags, capsys):
+        assert run_cli("schedule", "--epsilon", "0.1", *flags) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_epsilon_and_kappa_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "schedule.json"
@@ -247,6 +256,21 @@ class TestSampleDriver:
         target = ulmc.quadratic_target(np.array([1.0, 4.0]), np.zeros(2))
         sched = ulmc.Schedule(h=0.05, N=30, u=1.0 / target.smoothness)
         np.testing.assert_array_equal(xs, ulmc.rmm_run_ensemble(target, sched, 5, 4).x)
+
+    @pytest.mark.parametrize("h", ["0", "-1", "inf", "nan"])
+    def test_bad_step_size_is_config_error_before_any_draw(self, h, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("the draw thread was set up")
+
+        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        threads = threading.active_count()
+        out = tmp_path / "samples.csv"
+        assert run_cli("sample", "--quad-diag", "1,4", "--h", h, "--n-steps", "3",
+                       "--chains", "2", "--out", str(out)) == 2
+        assert "step size" in capsys.readouterr().err
+        assert threading.active_count() == threads
+        assert not out.exists()
 
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         out = tmp_path / "samples.csv"

@@ -1,6 +1,8 @@
 """Steppers, chain drivers, gradient accounting and the step-size rules."""
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -436,6 +438,17 @@ class TestSchedules:
                 ulmc.schedule(eps, 2.0)
         with pytest.raises(ScheduleError):
             ulmc.schedule(0.5, 0.5)
+        for rule in (ulmc.schedule, ulmc.schedule_parallel):
+            for bad in (math.nan, math.inf):
+                for kwargs in ({"kappa": bad}, {"kappa": 2.0, "C": bad},
+                               {"kappa": 2.0, "L": bad}):
+                    with pytest.raises(ScheduleError, match="finite"):
+                        rule(0.5, **kwargs)
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ScheduleError, match="finite"):
+                ulmc.schedule_parallel(0.5, 2.0, c_R=bad)
+            with pytest.raises(ScheduleError, match="finite"):
+                ulmc.schedule_parallel(0.5, 2.0, c_K=bad)
         with pytest.raises(ScheduleError):
             Schedule(h=0.2, N=1, u=1.0)
 
@@ -504,6 +517,31 @@ def hand_loop(target, method, h, n_steps, seed, R, K):
     return state
 
 
+def batch_hand_loop(target, method, h, n_steps, seed, R, K, x0):
+    """hand_loop for a (chains, d) batch: the public batched steppers and
+    increment samplers, serially, on the seed's Generator."""
+    rng = np.random.default_rng(seed)
+    state = SamplerState(x0, np.zeros_like(x0))
+    chains, d = x0.shape
+    for _ in range(n_steps):
+        if method == "rmm":
+            alphas = rng.uniform(size=chains)
+            inc = ulmc.brownian.step_increments_batch(h, alphas, d, rng)
+            state = ulmc.rmm_step(state, target, h, alphas, inc)
+        elif method == "rmm_parallel":
+            alphas = (np.arange(R) + rng.uniform(size=(chains, R))) / R
+            incs = ulmc.parallel_step_increments(h, R, alphas, d, rng)
+            state = ulmc.parallel_rmm_step(state, target, h, R, K, alphas, incs)
+        elif method == "euler_uld":
+            state = ulmc.euler_uld_step(state, target, h, rng)
+        elif method == "exp_euler_uld":
+            inc = ulmc.brownian.exp_euler_increments_batch(h, chains, d, rng)
+            state = ulmc.exponential_euler_uld_step(state, target, h, inc)
+        else:
+            state = ulmc.overdamped_lmc_step(state, target, h, rng)
+    return state
+
+
 class TestOneDriver:
     @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
     def test_run_chain_equals_hand_loop(self, method):
@@ -548,3 +586,119 @@ class TestOneDriver:
         target = ulmc.quadratic_target([1.0, 40.0], [0.0, 0.0])
         with pytest.raises(ulmc.UlmcError, match=r"lmc .* not finite after step \d+"):
             run_chain(target, "lmc", 0.9, 400, seed=0, x0=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
+    @pytest.mark.parametrize("length", ["none", "one", "slot and a half", "40 one-step slots"])
+    def test_batch_run_equals_serial_loop_bitwise(self, method, R, length, monkeypatch):
+        target = ulmc.quadratic_target([1.0, 4.0, 9.0], [0.3, -0.2, 0.1])
+        x0 = np.linspace(-1.0, 1.0, 21).reshape(7, 3)
+        per_slot = ulmc.samplers._steps_per_slot(*ulmc.samplers._draw_plan(method, 7, 3, R)[:2])
+        n_steps = {"none": 0, "one": 1, "slot and a half": per_slot + per_slot // 2,
+                   "40 one-step slots": 40}[length]
+        if length == "40 one-step slots":  # the ring changes hands at every step
+            monkeypatch.setattr(ulmc.samplers, "_SLOT_DOUBLES", 1)
+        result = run_chain(target, method, 0.05, n_steps, seed=8, R=R, K=3, x0=x0)
+        expected = batch_hand_loop(target, method, 0.05, n_steps, 8, R, 3, x0)
+        np.testing.assert_array_equal(result.final.x, expected.x)
+        np.testing.assert_array_equal(result.final.v, expected.v)
+        assert result.final.step == n_steps
+
+
+def test_concurrent_runs_under_fast_thread_switching(monkeypatch):
+    # four runs, each with its own draw thread, on one-step slots: the ring
+    # changes hands at every step while threads switch every microsecond
+    monkeypatch.setattr(ulmc.samplers, "_SLOT_DOUBLES", 1)
+    target = ulmc.quadratic_target([1.0, 4.0, 9.0], [0.3, -0.2, 0.1])
+    x0 = np.linspace(-1.0, 1.0, 21).reshape(7, 3)
+    methods = ("rmm", "rmm_parallel", "exp_euler_uld", "lmc")
+    results = {}
+
+    def run(method):
+        results[method] = run_chain(target, method, 0.05, 60, seed=5, R=3, K=3, x0=x0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(m,)) for m in methods]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for method in methods:
+        expected = batch_hand_loop(target, method, 0.05, 60, 5, 3, 3, x0)
+        np.testing.assert_array_equal(results[method].final.x, expected.x)
+        np.testing.assert_array_equal(results[method].final.v, expected.v)
+
+
+class TestDrawThread:
+    """Every failing run stops and joins its draw thread and raises its own
+    error."""
+
+    @pytest.fixture(autouse=True)
+    def one_step_per_slot(self, monkeypatch):
+        # the thread then waits for a free slot when the run fails
+        monkeypatch.setattr(ulmc.samplers, "_SLOT_DOUBLES", 1)
+
+    @staticmethod
+    def run_and_catch(run):
+        threads = threading.active_count()
+        with pytest.raises(BaseException) as caught:
+            run()
+        assert threading.active_count() == threads
+        return caught.value
+
+    def test_divergence(self):
+        target = ulmc.quadratic_target([1.0, 40.0], [0.0, 0.0])
+        err = self.run_and_catch(
+            lambda: run_chain(target, "lmc", 0.9, 400, seed=0, x0=np.zeros((2, 2))))
+        assert isinstance(err, ulmc.UlmcError) and "not finite" in str(err)
+
+    @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
+    def test_gradient_error(self, method):
+        quad = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        boom = RuntimeError("gradient failed")
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            if len(calls) == 5:
+                raise boom
+            return quad.gradient(x)
+
+        target = TargetSpec(dim=2, gradient=gradient, smoothness=quad.smoothness,
+                            strong_convexity=quad.strong_convexity, minimizer=np.zeros(2))
+        err = self.run_and_catch(
+            lambda: run_chain(target, method, 0.05, 50, seed=0, R=2, K=2,
+                              x0=np.zeros((3, 2))))
+        assert err is boom
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_draw_plan_mismatch(self, monkeypatch, extra):
+        lmc_step = ulmc.samplers.overdamped_lmc_step
+
+        def step(state, target, h, rng):
+            if extra > 0:  # one draw more than the plan holds
+                rng.standard_normal(state.x.shape)
+                return lmc_step(state, target, h, rng)
+            return lmc_step(state, target, h, FixedRng())  # one fewer
+
+        monkeypatch.setattr(ulmc.samplers, "overdamped_lmc_step", step)
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        err = self.run_and_catch(
+            lambda: run_chain(target, "lmc", 0.05, 20, seed=0, x0=np.zeros((3, 2))))
+        assert isinstance(err, ulmc.UlmcError) and "draw plan" in str(err)
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        boom = MemoryError("no room for draws")
+
+        def fill(slot, rng, count):
+            raise boom
+
+        monkeypatch.setattr(ulmc.samplers._Slot, "fill", fill)
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        err = self.run_and_catch(lambda: run_chain(target, "rmm", 0.05, 20, seed=0))
+        assert err is boom
