@@ -23,9 +23,11 @@ the one series helper, `_exp_tail`.
 RNG draw order is fixed for reproducibility.  A step with at most one
 midpoint draws one (k, chains, dim) block of normals: z0 and z1 give the
 whole step's (H, G), and z2, drawn when there is a midpoint, completes W1
-given them.  Cells, each drawing H before G, left to right, are kept only
-for steps with R > 1 midpoints and for the path store, which draws all its
-cells up front and then one block per set of midpoint steps.
+given them.  A step with R > 1 midpoints is R equal cells, midpoint r in
+cell r, and draws one (3R, chains, dim) block: per cell, left to right, H
+then G, then one normal per midpoint that completes its W1 given its
+cell's (H, G).  The path store draws all its cells up front in the same
+cell order, then one block per set of midpoint steps.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ __all__ = [
 ]
 
 
+_INV_FACTORIAL = [1.0 / math.factorial(j) for j in range(32)]
+
+
 def _exp_tail(x, k):
     """E_k(x) = e^x - sum_{j<k} x^j / j!, to rounding for every x, elementwise.
 
@@ -66,7 +71,7 @@ def _exp_tail(x, k):
     series = 0.0 * x
     for j in reversed(range(k, k + 13)):
         series *= x
-        series += 1.0 / math.factorial(j)
+        series += _INV_FACTORIAL[j]
     for _ in range(k):
         series *= x
     direct = np.expm1(x)
@@ -96,6 +101,16 @@ def _gain_residual(t):
     eps = _exp_tail(2.0 * t, 3) / (2.0 * np.maximum(t, np.finfo(float).tiny))
     excess = t + eps
     return excess, t * (1.0 + excess) * (t * t - (1.0 - t) * eps)
+
+
+def _cell_law(t):
+    """_gain_residual of one length t; Var(G) overflows above t of about 177,
+    which raises UlmcError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        excess, rho = _gain_residual(t)
+    if not np.isfinite(rho):
+        raise UlmcError(f"the (H, G) law of an interval of length {t} overflows")
+    return excess, rho
 
 
 def _residual_var(t):
@@ -152,38 +167,28 @@ class ExpEulerIncrements(NamedTuple):
     W3: np.ndarray
 
 
-def _sample_gh(lengths, dim, rng):
-    """Sample (H, G) for a block of fresh cells.
+def _sample_gh(length, z):
+    """Turn normals z of shape (cells, 2, ..., dim) into the (H, G) of cells
+    of one length, in place, and return the views H = z[:, 0], G = z[:, 1].
 
-    lengths has shape (cells, ...); returns H, G of shape lengths.shape +
-    (dim,).  Per cell, left to right, one block of shape lengths.shape[1:] +
-    (dim,) is drawn for H, then one for G, so the stream layout does not
-    depend on the lengths; zero-length cells come out exactly zero.  Var(G)
-    overflows above a length of about 177, which raises UlmcError.
+    Drawn as one block, each cell's H normals come before its G normals,
+    cells left to right.  Var(G) overflows above a length of about 177,
+    which raises UlmcError.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    t = lengths[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        excess, rho = _gain_residual(t)
-    if not np.isfinite(rho).all():
-        raise UlmcError(f"the (H, G) law of an interval of length {lengths.max()} overflows")
-    scale_h, scale_g, gain = np.sqrt(t), np.sqrt(rho), 1.0 + excess
-    h = np.empty(lengths.shape + (dim,))
-    g = np.empty_like(h)
-    # cell by cell, so temporaries stay one (chains, dim) block in size
-    for c in range(len(h)):
-        rng.standard_normal(out=h[c])
-        rng.standard_normal(out=g[c])
-        h[c] *= scale_h[c]
-        g[c] *= scale_g[c]
-        g[c] += gain[c] * h[c]
+    excess, rho = _cell_law(length)
+    h, g = z[:, 0], z[:, 1]
+    h *= math.sqrt(length)
+    g *= math.sqrt(rho)
+    # cell by cell, so the temporary stays one cell in size
+    for c in range(len(z)):
+        g[c] += (1.0 + excess) * h[c]
     return h, g
 
 
 def sample_interval(length, dim, rng) -> IntervalStats:
     """Draw the (H, G) functionals of a fresh interval of the given length."""
     _require_length(length)
-    h, g = _sample_gh(np.array([float(length)]), dim, rng)
+    h, g = _sample_gh(float(length), rng.standard_normal((1, 2, dim)))
     return IntervalStats(length=float(length), H=h[0], G=g[0])
 
 
@@ -256,55 +261,8 @@ def split(parent: IntervalStats, at, rng):
     return left, right
 
 
-def _combine(cell_h, cell_g, points, mid_ends):
-    """(W1, W2, W3) of one step as weighted sums of its cells' (H, G).
-
-    cell_h, cell_g (cells, ..., dim) hold consecutive cells with edges
-    points (cells + 1, ...).  W1 lists, per index i in mid_ends, W2 of the
-    step cut short at points[i].  Sums run in place segment by segment
-    between those points, G weighted to each segment's end, so every weight
-    is e^{-2 span} <= 1 and no span overflows.  Overwrites cell_h, cell_g.
-    """
-    w2 = []
-    for last, end in zip((0, *mid_ends), (*mid_ends, len(cell_h))):
-        if end == last:  # a midpoint at the end of the step
-            w2.append(w2[-1])
-            continue
-        seg_h, seg_g = cell_h[last:end], cell_g[last:end]
-        seg_g *= np.exp(-2.0 * (points[end] - points[last:end]))[..., None]
-        if end - last > 1:
-            seg_h[-1], seg_g[-1] = seg_h.sum(axis=0), seg_g.sum(axis=0)
-        if last:  # add the sums up to this segment's start
-            seg_h[-1] += cell_h[last - 1]
-            cell_g[last - 1] *= np.exp(-2.0 * (points[end] - points[last]))[..., None]
-            seg_g[-1] += cell_g[last - 1]
-        w2.append(seg_h[-1] - seg_g[-1])
-    return w2[:-1], w2[-1], cell_g[-1].copy()
-
-
-def _fresh_increments(h, mids, dim, rng):
-    """(W1, W2, W3) of fresh steps of length h with R >= 2 midpoints, one row
-    per chain.
-
-    mids has shape (chains, R), chain c's midpoint r lying in the cell
-    [r h/R, (r+1) h/R].  Each chain's [0, h] is split at the cell
-    boundaries and its midpoints, interleaved, and one (H, G) pair is drawn
-    per cell as (chains, dim) blocks, cells left to right.  Returns W1 as a
-    list of R arrays and W2, W3, each of shape (chains, dim).
-    """
-    chains, R = mids.shape
-    edges = np.arange(R + 1) * (h / R)
-    edges[-1] = h
-    points = np.empty((len(edges) + R, chains))  # 0, m_1, h/R, m_2, ..., m_R, h
-    points[1 : 2 * R : 2] = np.clip(mids, edges[:R], edges[1 : R + 1]).T
-    points[: 2 * R : 2] = edges[:R, None]
-    points[2 * R :] = edges[R:, None]
-    h_cells, g_cells = _sample_gh(np.diff(points, axis=0), dim, rng)
-    return _combine(h_cells, g_cells, points, range(1, 2 * R, 2))
-
-
 def _midpoint_coefficients(h, alphas, rho, q0, q1):
-    """(3, chains) coefficients (p0, p1, s) of W1 = p0 z0 + p1 z1 + s z2.
+    """(3,) + alphas.shape coefficients (p0, p1, s) of W1 = p0 z0 + p1 z1 + s z2.
 
     z0 = H / sqrt(h) and z1 = (G - gamma H) / sqrt(rho) are the whole
     step's normals and z2 is fresh, so p0 = Cov(W1, H) / sqrt(h), p1 =
@@ -347,10 +305,7 @@ def _whole_step(h, alphas, chains, dim, rng):
     k = 2 and W1 None.  Var(G) overflows above a length of about 177, which
     raises UlmcError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        rho = _gain_residual(h)[1]
-    if not np.isfinite(rho):
-        raise UlmcError(f"the (H, G) law of an interval of length {h} overflows")
+    rho = _cell_law(h)[1]
     q0 = 0.5 * _exp_tail(-2.0 * h, 2) / math.sqrt(h)  # Cov(W2, H) / sqrt(h)
     r0 = -0.5 * math.expm1(-2.0 * h) / math.sqrt(h)  # Cov(W3, H) / sqrt(h)
     r1 = math.exp(-2.0 * h) * math.sqrt(rho)
@@ -375,6 +330,49 @@ def _whole_step(h, alphas, chains, dim, rng):
         return None, z[0], z[1]
     z[1] = w1
     return z[1], z[0], z[2]
+
+
+def _equal_cells(cell, cell_h, cell_g, at, fresh):
+    """(W1, W2, W3) of steps made of k equal cells of length `cell`.
+
+    cell_h, cell_g (k, ..., dim) are the cells' (H, G), left to right, and
+    are overwritten.  at (m, ...) holds m midpoints per step, in cells from
+    the step's start, each in [0, k], and fresh (m, ..., dim) one normal
+    block per midpoint, in which W1 is built.  W1 is the rest of the
+    midpoint's cell, the W1 of a one-cell step drawn given that cell's (z0,
+    z1) as `_whole_step` draws it, plus the whole cells before the
+    midpoint: H summed, G carried from cell to cell by e^{-2 cell} <= 1 and
+    weighted to the midpoint.  W2 and W3 sum all k cells the same way.
+    Returns W1 (m, ..., dim) and W2, W3 (..., dim).
+    """
+    mid = np.minimum(at.astype(int), len(cell_h) - 1)  # the cell that holds it
+    rest = at - mid
+    pick = (mid, *np.indices(mid.shape[1:], sparse=True))  # midpoint's cell, by index
+    excess, rho = _cell_law(cell)
+    decay = math.exp(-2.0 * cell)
+    q0 = 0.5 * _exp_tail(-2.0 * cell, 2) / math.sqrt(cell)
+    p0, p1, s = _midpoint_coefficients(cell, rest, rho, q0, -decay * math.sqrt(rho))[..., None]
+
+    def add_picked(cells, weight):  # one (m, ..., dim) temporary at a time
+        part = cells[pick]
+        part *= weight
+        np.add(fresh, part, out=fresh)
+
+    fresh *= s
+    for j in range(len(cell_g)):  # G - gamma H = sqrt(rho) z1, until the sums
+        cell_g[j] -= (1.0 + excess) * cell_h[j]
+    add_picked(cell_g, p1 / math.sqrt(rho))
+    add_picked(cell_h, p0 / math.sqrt(cell))  # z0 = H / sqrt(cell)
+    # each cell becomes the sum of the cells before it, G weighted to its start
+    h, g = np.zeros(cell_h.shape[1:]), np.zeros(cell_g.shape[1:])
+    for j in range(len(cell_h)):
+        g_next = (g + cell_g[j] + (1.0 + excess) * cell_h[j]) * decay  # G again
+        cell_h[j], h = h, h + cell_h[j]
+        cell_g[j], g = g, g_next
+    fresh += cell_h[pick]
+    add_picked(cell_g, -np.exp(-2.0 * cell * rest)[..., None])
+    h -= g
+    return fresh, h, g
 
 
 def step_increments(h, alpha, dim, rng) -> StepIncrements:
@@ -412,15 +410,22 @@ def exp_euler_increments_batch(h, chains, dim, rng) -> ExpEulerIncrements:
     return ExpEulerIncrements(W2=w2, W3=w3)
 
 
+def _require_cells(alphas, R):
+    """Midpoint fraction i must lie in its cell [(i-1)/R, i/R]; nan does not."""
+    low = np.arange(R) / R
+    if not np.all((alphas >= low - 1e-12) & (alphas <= low + 1.0 / R + 1e-12)):
+        raise UlmcError(f"midpoint i must lie in [(i-1)/{R}, i/{R}], got {alphas}")
+
+
 def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     """Sample (W1_1..W1_R, W2, W3) jointly consistent with one path.
 
     alpha_i must lie in its cell [(i-1)/R, i/R].  R = 1 draws as
-    step_increments does.  For R > 1, [0, h] is partitioned at the cell
-    boundaries i*h/R interleaved with the midpoints alpha_i*h; one (H, G)
-    pair is drawn per cell, left to right, and all outputs are linear
-    combinations of those draws.  alphas has shape (R,), or (chains, R) for
-    a batch, when W1 has shape (chains, R, dim).
+    step_increments does.  For R > 1, [0, h] is R equal cells; one (3R,
+    chains, dim) block is drawn, per cell its (H, G) normals, left to
+    right, then one normal per midpoint, which completes W1_i given its
+    cell's (H, G) (`_equal_cells`).  alphas has shape (R,), or (chains, R)
+    for a batch, when W1 has shape (chains, R, dim).
     """
     _require_length(h)
     R = int(R)
@@ -429,16 +434,16 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim not in (1, 2) or alphas.shape[-1] != R:
         raise UlmcError(f"expected {R} midpoints, got shape {alphas.shape}")
-    low = np.arange(R) / R
-    if np.any((alphas < low - 1e-12) | (alphas > low + 1.0 / R + 1e-12)):
-        raise UlmcError(f"midpoint i must lie in [(i-1)/{R}, i/{R}], got {alphas}")
-    rows = np.atleast_2d(alphas)
+    _require_cells(alphas, R)
+    rows = np.clip(np.atleast_2d(alphas), 0.0, 1.0)
     if R == 1:
-        w1, w2, w3 = _whole_step(h, np.clip(rows[:, 0], 0.0, 1.0), len(rows), dim, rng)
+        w1, w2, w3 = _whole_step(h, rows[:, 0], len(rows), dim, rng)
         w1 = w1[:, None]
     else:
-        w1, w2, w3 = _fresh_increments(h, rows * h, dim, rng)
-        w1 = np.stack(w1, axis=1)
+        z = rng.standard_normal((3 * R, len(rows), dim))
+        cell_h, cell_g = _sample_gh(h / R, z[: 2 * R].reshape(R, 2, len(rows), dim))
+        w1, w2, w3 = _equal_cells(h / R, cell_h, cell_g, rows.T * R, z[2 * R :])
+        w1 = w1.transpose(1, 0, 2)
     if alphas.ndim == 1:
         return ParallelIncrements(W1=w1[0], W2=w2[0], W3=w3[0])
     return ParallelIncrements(W1=w1, W2=w2, W3=w3)
@@ -448,10 +453,10 @@ class BrownianPathStore:
     """One Brownian path per chain over [0, T], as a fixed grid of n_cells
     equal cells.
 
-    Every cell's (H, G) is drawn once, as `_sample_gh` draws (n_cells,
-    chains) lengths: cells left to right, per cell a (chains, dim) block for
-    H, then one for G.  The path holds 16 chains n_cells dim bytes.  Steps
-    are runs of whole cells, so nothing is ever refined.
+    Every cell's (H, G) is drawn once, as one (n_cells, 2, chains, dim)
+    block: cells left to right, per cell a (chains, dim) block for H, then
+    one for G.  The path holds 16 chains n_cells dim bytes.  Steps are runs
+    of whole cells, so nothing is ever refined.
     """
 
     def __init__(self, total_time, n_cells, chains, dim, rng):
@@ -459,53 +464,30 @@ class BrownianPathStore:
         self.n_cells = int(n_cells)
         self.cell = float(total_time) / self.n_cells
         self.rng = rng
-        self.H, self.G = _sample_gh(np.full((self.n_cells, chains), self.cell), dim, rng)
+        z = rng.standard_normal((self.n_cells, 2, chains, dim))
+        self.H, self.G = _sample_gh(self.cell, z)
 
     def increments(self, n_steps, alphas=None):
         """(W1, W2, W3) of n_steps equal steps over [0, T], each of shape
-        (n_steps, chains, dim).
+        (n_steps, chains, dim), built by `_equal_cells`.
 
-        alphas (n_steps, chains) are midpoint fractions; without them W1 is
-        None.  W2 and W3 sum each step's cells, G weighted by e^{-2 span} <= 1
-        from the cell's start to the step's end.  W1 sums the cells before
-        the midpoint the same way, weighted to the midpoint, plus the rest of
-        the midpoint's cell, which is the W1 of a one-cell step: it is drawn
-        given that cell's (z0, z1), as `_whole_step` draws it, with one fresh
-        (n_steps, chains, dim) normal block.
+        alphas (n_steps, chains) are midpoint fractions, one per step, and
+        complete W1 with one fresh (n_steps, chains, dim) normal block;
+        without them W1 is None.
         """
         if n_steps < 1 or self.n_cells % n_steps:
             raise UlmcError(f"{n_steps} steps do not divide a path of {self.n_cells} cells")
-        k = self.n_cells // n_steps
-        shape = (n_steps, k) + self.H.shape[1:]
-        cell_h, cell_g = self.H.reshape(shape), self.G.reshape(shape)
-        w3 = np.einsum("k,nkcd->ncd", np.exp(-2.0 * self.cell * np.arange(k, 0, -1)), cell_g)
-        w2 = cell_h.sum(axis=1)
-        w2 -= w3
-        if alphas is None:
-            return StepIncrements(None, w2, w3)
-        alphas = np.asarray(alphas, dtype=float)
-        if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
-            raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
-        at = alphas * k  # the midpoint, in cells from the step's start
-        mid = np.minimum(at.astype(int), k - 1)  # the cell that holds it
-        cells = np.arange(k)[:, None]
-        before = cells < mid[:, None]  # (n_steps, k, chains)
-        # a cell before the midpoint starts at - cell >= 1 cells before it; the
-        # floor only keeps the masked-out cells' weights from overflowing
-        span = np.maximum(at[:, None] - cells, 0.0)
-        to_mid = np.where(before, np.exp(-2.0 * self.cell * span), 0.0)
-        w1 = np.einsum("nkc,nkcd->ncd", before, cell_h)
-        w1 -= np.einsum("nkc,nkcd->ncd", to_mid, cell_g)
-
-        excess, rho = _gain_residual(self.cell)
-        pick = mid[:, None, :, None]
-        z0 = np.take_along_axis(cell_h, pick, axis=1)[:, 0]
-        z1 = np.take_along_axis(cell_g, pick, axis=1)[:, 0]
-        z1 -= (1.0 + excess) * z0
-        z0 /= math.sqrt(self.cell)
-        z1 /= math.sqrt(rho)
-        q0 = 0.5 * _exp_tail(-2.0 * self.cell, 2) / math.sqrt(self.cell)
-        q1 = -math.exp(-2.0 * self.cell) * math.sqrt(rho)
-        p0, p1, s = _midpoint_coefficients(self.cell, at - mid, rho, q0, q1)[..., None]
-        w1 += p0 * z0 + p1 * z1 + s * self.rng.standard_normal(w2.shape)
-        return StepIncrements(w1, w2, w3)
+        k, (chains, dim) = self.n_cells // n_steps, self.H.shape[1:]
+        # (k, n_steps, chains, dim) views: cell j of every step
+        cell_h, cell_g = (np.moveaxis(a.reshape(n_steps, k, chains, dim), 1, 0)
+                          for a in (self.H, self.G))
+        if alphas is None:  # no midpoint: nothing is drawn, W1 comes out empty
+            at = np.empty((0, n_steps, chains))
+        else:
+            alphas = np.asarray(alphas, dtype=float)
+            if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
+                raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
+            at = alphas[None] * k
+        fresh = self.rng.standard_normal(at.shape + (dim,))
+        w1, w2, w3 = _equal_cells(self.cell, cell_h.copy(), cell_g.copy(), at, fresh)
+        return StepIncrements(None if alphas is None else w1[0], w2, w3)

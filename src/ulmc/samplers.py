@@ -33,6 +33,7 @@ from .brownian import (  # noqa: F401  (one-chain adapters stay importable here)
     ExpEulerIncrements,
     ParallelIncrements,
     StepIncrements,
+    _require_cells,
     exp_euler_increments,
     exp_euler_increments_batch,
     parallel_step_increments,
@@ -201,18 +202,14 @@ _SLOT_DOUBLES = 2**16
 
 def _draw_plan(method, chains, dim, R):
     """One step's draws in stream order: the midpoint fractions' shape (None
-    without midpoints), the normal block's shape, and whether the block is
-    asked for one (chains, dim) row at a time (4R rows for R > 1 midpoints,
-    as `brownian._sample_gh` draws them) or whole."""
+    without midpoints), then the normal block's shape."""
     if method == "rmm":
-        return (chains,), (3, chains, dim), False
-    if method == "rmm_parallel" and R == 1:
-        return (chains, 1), (3, chains, dim), False
+        return (chains,), (3, chains, dim)
     if method == "rmm_parallel":
-        return (chains, R), (4 * R, chains, dim), True
+        return (chains, R), (3 * R, chains, dim)
     if method == "exp_euler_uld":
-        return None, (2, chains, dim), False
-    return None, (chains, dim), False
+        return None, (2, chains, dim)
+    return None, (chains, dim)
 
 
 def _steps_per_slot(uniform_shape, normal_shape):
@@ -223,10 +220,9 @@ def _steps_per_slot(uniform_shape, normal_shape):
 class _Slot:
     """The draws of up to `steps` consecutive steps, step by step."""
 
-    def __init__(self, steps, uniform_shape, normal_shape, split):
+    def __init__(self, steps, uniform_shape, normal_shape):
         self.uniforms = None if uniform_shape is None else np.empty((steps, *uniform_shape))
         self.normals = np.empty((steps, *normal_shape))
-        self.split = split
 
     def fill(self, rng, count):
         """Draw the first `count` steps, in the order the Generator would."""
@@ -240,7 +236,7 @@ class _Slot:
     def draws(self, s):
         """Step s's draws in request order."""
         head = () if self.uniforms is None else (self.uniforms[s],)
-        return head + (tuple(self.normals[s]) if self.split else (self.normals[s],))
+        return head + (self.normals[s],)
 
 
 class _Replay:
@@ -251,10 +247,9 @@ class _Replay:
     nothing may keep them past the step: the slot is then refilled.
     """
 
-    def __init__(self, method, uniform_shape, normal_shape, split):
+    def __init__(self, method, uniform_shape):
         self.method = method
-        normals = normal_shape[0] if split else 1
-        self.kinds = ("uniform",) * (uniform_shape is not None) + ("normal",) * normals
+        self.kinds = ("uniform",) * (uniform_shape is not None) + ("normal",)
         self.draws, self.taken = (), 0
 
     def _take(self, kind, shape):
@@ -293,8 +288,8 @@ class _DrawAhead:
     def __init__(self, rng, method, n_steps, chains, dim, R):
         plan = _draw_plan(method, chains, dim, R)
         self.n_steps = n_steps
-        self.per_slot = max(1, min(n_steps, _steps_per_slot(*plan[:2])))
-        self.replay = _Replay(method, *plan)
+        self.per_slot = max(1, min(n_steps, _steps_per_slot(*plan)))
+        self.replay = _Replay(method, plan[0])
         self._rng = rng
         self._free, self._full = queue.Queue(), queue.Queue()
         for _ in range(min(2, math.ceil(n_steps / self.per_slot))):
@@ -495,8 +490,8 @@ def parallel_rmm_step(
     of every chain (one batched oracle call on a (chains * R, d) array, so
     the sweep parallelizes); the final update spends R more evaluations,
     R*K per chain in total.  alphas has shape (R,), or (chains, R) for a
-    (chains, d) state.  With R=1, K=2 this reproduces rmm_step exactly given
-    the same underlying draws.
+    (chains, d) state, alpha_i in its cell [(i-1)/R, i/R].  With R=1, K=2
+    this reproduces rmm_step exactly given the same underlying draws.
     """
     _check_step(h, state, target)
     R = int(R)
@@ -507,6 +502,7 @@ def parallel_rmm_step(
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != x.shape[:-1] + (R,):
         raise UlmcError(f"expected {R} midpoint fractions, got {alphas.shape}")
+    _require_cells(alphas, R)
     if incs.W1.shape != x.shape[:-1] + (R, target.dim):
         raise UlmcError("increments were generated for a different R or d")
 

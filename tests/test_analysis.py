@@ -360,7 +360,7 @@ class TestCoupledExperiment:
         diag = np.linspace(1.0, 10.0, 2)
         target = ulmc.quadratic_target(diag, np.zeros(2))
         res = ulmc.coupled_error_experiment(
-            target, [0.05, 0.1, 0.2], 5.0, seed=91, chains=6
+            target, [0.05, 0.1, 0.2], 5.0, seed=91, chains=24
         )
         errs = {(h, m): e for h, m, e in res.rows}
         for h in (0.05, 0.1, 0.2):

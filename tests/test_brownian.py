@@ -41,21 +41,37 @@ def mp_gh_covariance(t):
     return mp.matrix([[t, cov], [cov, mp.expm1(4 * t) / 4]])
 
 
-def mp_w_covariance(h, alpha):
-    """Cov of (W1, W2, W3) for a step of length h with midpoint alpha h, as an
-    mpmath matrix (call under workdps)."""
+def mp_w_covariance(h, alphas):
+    """Cov of (W1_1..W1_R, W2, W3) for a step of length h with midpoints
+    alpha_i h, as an mpmath matrix (call under workdps)."""
     h = mp.mpf(h)
-    tau = mp.mpf(alpha) * h
-    weight_sq = lambda t: t + mp.expm1(-2 * t) - mp.expm1(-4 * t) / 4
-    w1_g = mp.sinh(tau) ** 2  # Cov(W1, G), and W3 = e^{-2h} G
-    c12 = tau + mp.expm1(-2 * tau) / 2 - mp.exp(-2 * h) * w1_g
-    c13 = mp.exp(-2 * h) * w1_g
-    c23 = -mp.expm1(-2 * h) / 2 + mp.expm1(-4 * h) / 4
-    return mp.matrix([
-        [weight_sq(tau), c12, c13],
-        [c12, weight_sq(h), c23],
-        [c13, c23, -mp.expm1(-4 * h) / 4],
-    ])
+    ends = [mp.mpf(a) * h for a in alphas] + [h]  # W1_i, then W2
+
+    def inner(a, b):  # int_0^min(a, b) (1 - e^{-2(a-s)}) (1 - e^{-2(b-s)}) ds
+        m = min(a, b)
+        return (m - (mp.exp(-2 * a) + mp.exp(-2 * b)) * mp.expm1(2 * m) / 2
+                + mp.exp(-2 * (a + b)) * mp.expm1(4 * m) / 4)
+
+    # W3 = B_h - W2, and Cov(W1_i, B_h) = int_0^a (1 - e^{-2(a-s)}) ds
+    with_b = lambda a: a + mp.expm1(-2 * a) / 2
+    n = len(ends)
+    cov = mp.matrix(n + 1, n + 1)
+    for i, a in enumerate(ends):
+        for j, b in enumerate(ends):
+            cov[i, j] = inner(a, b)
+        cov[i, n] = cov[n, i] = with_b(a) - inner(a, h)
+    cov[n, n] = h - 2 * with_b(h) + inner(h, h)
+    return cov
+
+
+def mp_w1_residual_var(h, alpha):
+    """Var(W1 | H, G) = Var(W1 | W2, W3) of a one-midpoint step, as a float
+    (call under workdps)."""
+    cov = mp_w_covariance(h, [alpha])
+    det = cov[1, 1] * cov[2, 2] - cov[1, 2] ** 2
+    explained = (cov[0, 1] ** 2 * cov[2, 2] + cov[0, 2] ** 2 * cov[1, 1]
+                 - 2 * cov[0, 1] * cov[0, 2] * cov[1, 2]) / det
+    return float(cov[0, 0] - explained)
 
 
 class UnitNormals:
@@ -362,13 +378,8 @@ class TestWholeStepDraw:
             coef = np.stack([inc.W1[row], inc.W2[row], inc.W3[row]])
             assert np.all(coef[1:, 2] == 0.0)  # W2, W3 read only the whole step
             with mp.workdps(50):
-                cov = mp_w_covariance(h, alpha)
-                # Var(W1 | W2, W3), which is Var(W1 | H, G)
-                det = cov[1, 1] * cov[2, 2] - cov[1, 2] ** 2
-                explained = (cov[0, 1] ** 2 * cov[2, 2] + cov[0, 2] ** 2 * cov[1, 1]
-                             - 2 * cov[0, 1] * cov[0, 2] * cov[1, 2]) / det
-                s2 = float(cov[0, 0] - explained)
-                oracle = np.array(cov.tolist(), dtype=float)
+                oracle = np.array(mp_w_covariance(h, [alpha]).tolist(), dtype=float)
+                s2 = mp_w1_residual_var(h, alpha)
             scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
             assert np.all(np.abs(coef @ coef.T - oracle) <= 1e-12 * scale), alpha
             # s^2 is not a difference: no cancellation as alpha -> 1
@@ -394,9 +405,13 @@ class TestWholeStepDraw:
         [
             (3, lambda rng: step_increments_batch(0.05, np.full(5, 0.3), 4, rng)),
             (3, lambda rng: ulmc.parallel_step_increments(0.05, 1, np.full((5, 1), 0.3), 4, rng)),
+            (6, lambda rng: ulmc.parallel_step_increments(0.05, 2, np.full((5, 2), 0.5), 4, rng)),
+            (9, lambda rng: ulmc.parallel_step_increments(
+                0.05, 3, np.tile([0.1, 0.5, 0.9], (5, 1)), 4, rng)),
             (2, lambda rng: exp_euler_increments_batch(0.05, 5, 4, rng)),
         ],
-        ids=["step_increments_batch", "parallel_r1", "exp_euler_increments_batch"],
+        ids=["step_increments_batch", "parallel_r1", "parallel_r2", "parallel_r3",
+             "exp_euler_increments_batch"],
     )
     def test_draw_budget(self, k, draw):
         # counted at the generator: k normals per chain and coordinate
@@ -405,6 +420,38 @@ class TestWholeStepDraw:
         draw(rng)
         clone.standard_normal((k, 5, 4))
         assert rng.bit_generator.state == clone.bit_generator.state
+
+
+class TestEqualCellDraw:
+    """R > 1 midpoints: R equal cells, midpoint i in cell i."""
+
+    FRACTIONS = (1e-6, 0.3, 0.5, 1 - 1e-6)  # of a cell
+
+    @pytest.mark.parametrize("h", [1e-3, 0.05, 1.0])
+    @pytest.mark.parametrize("R", [2, 3, 8])
+    def test_law_matches_mpmath(self, R, h):
+        # one chain per fraction, shared by all of its midpoints, and one
+        # chain that mixes them
+        fractions = np.array([np.full(R, f) for f in self.FRACTIONS]
+                             + [np.resize(self.FRACTIONS, R)])
+        alphas = (np.arange(R) + fractions) / R
+        inc = ulmc.parallel_step_increments(h, R, alphas, 3 * R, UnitNormals())
+        # W1 is built from sums of the cells' H and G, which cancel from
+        # terms of order cell^(1/2) to W1 of order cell^(3/2)
+        tol = 1e-15 / (h / R)
+        for row, alpha in enumerate(alphas):
+            coef = np.vstack([inc.W1[row], inc.W2[row], inc.W3[row]])  # (R + 2, 3R)
+            assert np.all(coef[R:, 2 * R:] == 0.0)  # W2, W3 read only the cells
+            # each W1 reads its own fresh normal and no other
+            own = np.diag(coef[:R, 2 * R:])
+            assert np.all(coef[:R, 2 * R:] == np.diag(own))
+            with mp.workdps(50):
+                oracle = np.array(mp_w_covariance(h, alpha).tolist(), dtype=float)
+                # the fresh normal completes W1_i given its cell's (H, G)
+                s2 = [mp_w1_residual_var(h / R, f) for f in alpha * R - np.arange(R)]
+            scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+            assert np.all(np.abs(coef @ coef.T - oracle) <= tol * scale), alpha
+            np.testing.assert_allclose(own**2, s2, rtol=1e-12, atol=0)
 
 
 class TestParallelIncrements:
@@ -442,8 +489,10 @@ class TestParallelIncrements:
 
     def test_rejects_midpoint_outside_cell(self):
         rng = np.random.default_rng(16)
-        with pytest.raises(UlmcError):
-            ulmc.parallel_step_increments(0.05, 2, [0.6, 0.7], 3, rng)
+        # nan lies in no cell
+        for R, alphas in ((2, [0.6, 0.7]), (1, [np.nan]), (3, [0.1, np.nan, 0.9])):
+            with pytest.raises(UlmcError, match=r"must lie in \[\(i-1\)/"):
+                ulmc.parallel_step_increments(0.05, R, alphas, 3, rng)
 
 
 class TestPathStore:

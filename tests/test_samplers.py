@@ -234,6 +234,15 @@ class TestParallelStep:
         with pytest.raises(ScheduleError):
             ulmc.parallel_rmm_step(state, target, 0.05, 1, 1, [0.5], incs)
 
+    @pytest.mark.parametrize("alphas", [[np.nan, 0.75], [0.25, np.inf], [0.75, 0.25]])
+    def test_rejects_fractions_outside_their_cells(self, alphas):
+        # a nan fraction would otherwise step to a nan state without an error
+        target = ulmc.quadratic_target([1.0], [0.0])
+        state = SamplerState(np.zeros(1), np.zeros(1))
+        incs = ulmc.ParallelIncrements(W1=np.zeros((2, 1)), W2=np.zeros(1), W3=np.zeros(1))
+        with pytest.raises(ulmc.UlmcError, match="must lie in"):
+            ulmc.parallel_rmm_step(state, target, 0.05, 2, 2, alphas, incs)
+
     def test_gradient_count_per_step(self):
         target = ulmc.quadratic_target([1.0, 3.0], [0.0, 0.0])
         counter = GradientCounter(target)
@@ -593,7 +602,7 @@ class TestOneDriver:
     def test_batch_run_equals_serial_loop_bitwise(self, method, R, length, monkeypatch):
         target = ulmc.quadratic_target([1.0, 4.0, 9.0], [0.3, -0.2, 0.1])
         x0 = np.linspace(-1.0, 1.0, 21).reshape(7, 3)
-        per_slot = ulmc.samplers._steps_per_slot(*ulmc.samplers._draw_plan(method, 7, 3, R)[:2])
+        per_slot = ulmc.samplers._steps_per_slot(*ulmc.samplers._draw_plan(method, 7, 3, R))
         n_steps = {"none": 0, "one": 1, "slot and a half": per_slot + per_slot // 2,
                    "40 one-step slots": 40}[length]
         if length == "40 one-step slots":  # the ring changes hands at every step
