@@ -33,6 +33,7 @@ cell order, then one block per set of midpoint steps.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,14 +104,22 @@ def _gain_residual(t):
     return excess, t * (1.0 + excess) * (t * t - (1.0 - t) * eps)
 
 
+_CellLaw = namedtuple("_CellLaw", "t excess rho decay q0 r0 r1")
+
+
 def _cell_law(t):
-    """_gain_residual of one length t; Var(G) overflows above t of about 177,
-    which raises UlmcError."""
+    """The builders' constants of one length t: `_gain_residual`'s excess =
+    gamma - 1 and rho, decay = e^{-2t}, and W2 = q0 z0 - r1 z1, W3 = r0 z0 +
+    r1 z1 in z0 = H / sqrt(t), z1 = (G - gamma H) / sqrt(rho).  Var(G)
+    overflows above t of about 177, which raises UlmcError."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         excess, rho = _gain_residual(t)
     if not np.isfinite(rho):
         raise UlmcError(f"the (H, G) law of an interval of length {t} overflows")
-    return excess, rho
+    decay = math.exp(-2.0 * t)
+    q0 = 0.5 * _exp_tail(-2.0 * t, 2) / math.sqrt(t)  # Cov(W2, H) / sqrt(t)
+    r0 = -0.5 * math.expm1(-2.0 * t) / math.sqrt(t)  # Cov(W3, H) / sqrt(t)
+    return _CellLaw(t, excess, rho, decay, q0, r0, decay * math.sqrt(rho))
 
 
 def _residual_var(t):
@@ -167,28 +176,23 @@ class ExpEulerIncrements(NamedTuple):
     W3: np.ndarray
 
 
-def _sample_gh(length, z):
+def _sample_gh(law, z):
     """Turn normals z of shape (cells, 2, ..., dim) into the (H, G) of cells
-    of one length, in place, and return the views H = z[:, 0], G = z[:, 1].
-
-    Drawn as one block, each cell's H normals come before its G normals,
-    cells left to right.  Var(G) overflows above a length of about 177,
-    which raises UlmcError.
-    """
-    excess, rho = _cell_law(length)
+    of the law's length, in place, and return the views H = z[:, 0], G =
+    z[:, 1]: per cell, left to right, H's normals come before G's."""
     h, g = z[:, 0], z[:, 1]
-    h *= math.sqrt(length)
-    g *= math.sqrt(rho)
+    h *= math.sqrt(law.t)
+    g *= math.sqrt(law.rho)
     # cell by cell, so the temporary stays one cell in size
     for c in range(len(z)):
-        g[c] += (1.0 + excess) * h[c]
+        g[c] += (1.0 + law.excess) * h[c]
     return h, g
 
 
 def sample_interval(length, dim, rng) -> IntervalStats:
     """Draw the (H, G) functionals of a fresh interval of the given length."""
     _require_length(length)
-    h, g = _sample_gh(float(length), rng.standard_normal((1, 2, dim)))
+    h, g = _sample_gh(_cell_law(float(length)), rng.standard_normal((1, 2, dim)))
     return IntervalStats(length=float(length), H=h[0], G=g[0])
 
 
@@ -261,20 +265,22 @@ def split(parent: IntervalStats, at, rng):
     return left, right
 
 
-def _midpoint_coefficients(h, alphas, rho, q0, q1):
+def _midpoint_coefficients(law, alphas):
     """(3,) + alphas.shape coefficients (p0, p1, s) of W1 = p0 z0 + p1 z1 + s z2.
 
-    z0 = H / sqrt(h) and z1 = (G - gamma H) / sqrt(rho) are the whole
-    step's normals and z2 is fresh, so p0 = Cov(W1, H) / sqrt(h), p1 =
-    Cov(W1, R) / sqrt(rho) and s^2 = Var(W1 | H, G).  Over the left cell
-    [0, tau], tau = alpha h, W1 = kappa H_l - e^{-2 tau} R_l with kappa =
-    1 - e^{-2 tau} gamma_l, so s^2 is the sum of squares of `split`'s
-    Cholesky factors mapped by (kappa, -e^{-2 tau}); kappa + e^{-2 tau} b =
-    -(gamma_r - 1) exactly, which takes out their cancellation.  rest is
-    (1 - alpha) h, not h - tau, so s^2 stays accurate as alpha -> 1.  At
-    alpha = 0 the coefficients are 0, at alpha = 1 (q0, q1, 0), exactly.
-    Below h of about 1e-80, O(h^4) terms underflow, which raises UlmcError.
+    For a step of the law's length h, z0 = H / sqrt(h) and z1 = (G - gamma
+    H) / sqrt(rho) are the whole step's normals and z2 is fresh, so p0 =
+    Cov(W1, H) / sqrt(h), p1 = Cov(W1, R) / sqrt(rho) and s^2 = Var(W1 | H,
+    G).  Over the left cell [0, tau], tau = alpha h, W1 = kappa H_l -
+    e^{-2 tau} R_l with kappa = 1 - e^{-2 tau} gamma_l, so s^2 is the sum of
+    squares of `split`'s Cholesky factors mapped by (kappa, -e^{-2 tau});
+    kappa + e^{-2 tau} b = -(gamma_r - 1) exactly, which takes out their
+    cancellation.  rest is (1 - alpha) h, not h - tau, so s^2 stays accurate
+    as alpha -> 1.  At alpha = 0 the coefficients are 0, at alpha = 1 (q0,
+    -r1, 0), W2's, exactly.  Below h of about 1e-80, O(h^4) terms underflow,
+    which raises UlmcError.
     """
+    h = law.t
     tau, rest = alphas * h, (1.0 - alphas) * h
     with np.errstate(divide="ignore", invalid="ignore"):  # reported just below
         excess_l, rho_l, excess_r, rho_r, b, decay, q, det = _split_terms(h, tau, rest)
@@ -285,12 +291,12 @@ def _midpoint_coefficients(h, alphas, rho, q0, q1):
         # grouped so that no product of two O(h^3) terms underflows
         s2 = tau * rest * (x / q) * (x / det) + decay * rho_l * (rho_r / q)
         cov_r = kappa * tau * rest * b - decay_half * rho_l * h  # both terms <= 0
-        p1 = math.sqrt(rho) / det * decay * cov_r
+        p1 = math.sqrt(law.rho) / det * decay * cov_r
     coef = np.stack([kappa * tau / math.sqrt(h), p1, np.sqrt(s2)])
     if not np.isfinite(coef).all():
         raise UlmcError(f"the W1 law of a step of length {h} underflows")
     coef[:, alphas == 0.0] = 0.0
-    coef[:, alphas == 1.0] = np.array([q0, q1, 0.0])[:, None]
+    coef[:, alphas == 1.0] = np.array([law.q0, -law.r1, 0.0])[:, None]
     return coef
 
 
@@ -302,28 +308,24 @@ def _whole_step(h, alphas, chains, dim, rng):
     whole step's H = sqrt(h) z0 and G - gamma H = sqrt(rho) z1, so W2 = H -
     e^{-2h} G and W3 = e^{-2h} G take scalar coefficients.  alphas of shape
     (chains,) makes k = 3, z2 completing W1 given (H, G); alphas None makes
-    k = 2 and W1 None.  Var(G) overflows above a length of about 177, which
-    raises UlmcError.
+    k = 2 and W1 None.  `_cell_law` raises UlmcError for h above about 177.
     """
-    rho = _cell_law(h)[1]
-    q0 = 0.5 * _exp_tail(-2.0 * h, 2) / math.sqrt(h)  # Cov(W2, H) / sqrt(h)
-    r0 = -0.5 * math.expm1(-2.0 * h) / math.sqrt(h)  # Cov(W3, H) / sqrt(h)
-    r1 = math.exp(-2.0 * h) * math.sqrt(rho)
+    law = _cell_law(h)
     z = rng.standard_normal((2 if alphas is None else 3, chains, dim))
     # the outputs overwrite z: a call holds at most k + 1 (chains, dim) blocks
     if alphas is None:
-        w3 = z[0] * r0
+        w3 = z[0] * law.r0
     else:  # W1 while z is unscaled, then W3 in z[2]
-        p0, p1, s = _midpoint_coefficients(h, alphas, rho, q0, -r1)[..., None]
+        p0, p1, s = _midpoint_coefficients(law, alphas)[..., None]
         w1 = p0 * z[0]
         z[2] *= s
         w1 += z[2]
         np.multiply(z[1], p1, out=z[2])
         w1 += z[2]
-        w3 = np.multiply(z[0], r0, out=z[2])
-    z[1] *= r1
+        w3 = np.multiply(z[0], law.r0, out=z[2])
+    z[1] *= law.r1
     w3 += z[1]
-    z[0] *= q0
+    z[0] *= law.q0
     z[0] -= z[1]  # W2; where alpha = 1, p1 = -r1 and s = 0, so W1 == W2 bitwise
     if alphas is None:
         z[1] = w3
@@ -332,8 +334,8 @@ def _whole_step(h, alphas, chains, dim, rng):
     return z[1], z[0], z[2]
 
 
-def _equal_cells(cell, cell_h, cell_g, at, fresh):
-    """(W1, W2, W3) of steps made of k equal cells of length `cell`.
+def _equal_cells(law, cell_h, cell_g, at, fresh):
+    """(W1, W2, W3) of steps made of k equal cells of the law's length.
 
     cell_h, cell_g (k, ..., dim) are the cells' (H, G), left to right, and
     are overwritten.  at (m, ...) holds m midpoints per step, in cells from
@@ -348,10 +350,8 @@ def _equal_cells(cell, cell_h, cell_g, at, fresh):
     mid = np.minimum(at.astype(int), len(cell_h) - 1)  # the cell that holds it
     rest = at - mid
     pick = (mid, *np.indices(mid.shape[1:], sparse=True))  # midpoint's cell, by index
-    excess, rho = _cell_law(cell)
-    decay = math.exp(-2.0 * cell)
-    q0 = 0.5 * _exp_tail(-2.0 * cell, 2) / math.sqrt(cell)
-    p0, p1, s = _midpoint_coefficients(cell, rest, rho, q0, -decay * math.sqrt(rho))[..., None]
+    cell, excess, rho, decay = law.t, law.excess, law.rho, law.decay
+    p0, p1, s = _midpoint_coefficients(law, rest)[..., None]
 
     def add_picked(cells, weight):  # one (m, ..., dim) temporary at a time
         part = cells[pick]
@@ -440,9 +440,10 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
         w1, w2, w3 = _whole_step(h, rows[:, 0], len(rows), dim, rng)
         w1 = w1[:, None]
     else:
+        law = _cell_law(h / R)
         z = rng.standard_normal((3 * R, len(rows), dim))
-        cell_h, cell_g = _sample_gh(h / R, z[: 2 * R].reshape(R, 2, len(rows), dim))
-        w1, w2, w3 = _equal_cells(h / R, cell_h, cell_g, rows.T * R, z[2 * R :])
+        cell_h, cell_g = _sample_gh(law, z[: 2 * R].reshape(R, 2, len(rows), dim))
+        w1, w2, w3 = _equal_cells(law, cell_h, cell_g, rows.T * R, z[2 * R :])
         w1 = w1.transpose(1, 0, 2)
     if alphas.ndim == 1:
         return ParallelIncrements(W1=w1[0], W2=w2[0], W3=w3[0])
@@ -463,9 +464,10 @@ class BrownianPathStore:
         _require_length(total_time)
         self.n_cells = int(n_cells)
         self.cell = float(total_time) / self.n_cells
+        self.law = _cell_law(self.cell)
         self.rng = rng
         z = rng.standard_normal((self.n_cells, 2, chains, dim))
-        self.H, self.G = _sample_gh(self.cell, z)
+        self.H, self.G = _sample_gh(self.law, z)
 
     def increments(self, n_steps, alphas=None):
         """(W1, W2, W3) of n_steps equal steps over [0, T], each of shape
@@ -489,5 +491,5 @@ class BrownianPathStore:
                 raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
             at = alphas[None] * k
         fresh = self.rng.standard_normal(at.shape + (dim,))
-        w1, w2, w3 = _equal_cells(self.cell, cell_h.copy(), cell_g.copy(), at, fresh)
+        w1, w2, w3 = _equal_cells(self.law, cell_h.copy(), cell_g.copy(), at, fresh)
         return StepIncrements(None if alphas is None else w1[0], w2, w3)

@@ -7,9 +7,10 @@ Subcommands:
   schedule       print the (h, N) or (h, R, K, N) rule as JSON
 
 A JSON config file (--config) may pre-set any long flag (keys with dashes
-or underscores); explicit flags override it, and a key that no subcommand
-takes is a configuration error.  All outputs are deterministic
-given (config, seed): no wall-clock anywhere.
+or underscores); explicit flags override it, a key that no subcommand
+takes is a configuration error, and a value passes the checks of the
+flag's text.  All outputs are deterministic given (config, seed): no
+wall-clock anywhere.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -100,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Pre-parse --config and fold the file values in as parser defaults."""
+    """Pre-parse --config and fold the file values in as the command's
+    defaults, each checked as its flag's text would be."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
@@ -116,13 +118,33 @@ def _apply_config_file(parser, argv):
     defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
     if "lambda" in defaults:
         defaults["lam"] = defaults.pop("lambda")
-    subparsers = parser._subparsers._group_actions[0].choices.values()
-    dests = [{a.dest for a in sub._actions} for sub in subparsers]
+    subparsers = parser._subparsers._group_actions[0].choices
+    dests = [{a.dest for a in sub._actions} for sub in subparsers.values()]
     unknown = sorted(set(defaults).difference(*dests))
     if unknown:
         raise ConfigError(f"config file keys that no subcommand takes: {', '.join(unknown)}")
-    for sub, valid in zip(subparsers, dests):
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in valid})
+    # no option of the main parser takes a value, so the first command name
+    # in argv is the command
+    command = next((tok for tok in argv if tok in subparsers), None)
+    for action in subparsers[command]._actions if command else ():
+        if action.dest in defaults:
+            action.default = _config_value(action, defaults[action.dest])
+
+
+def _config_value(action, value):
+    """A config file value, checked and converted as the flag's text is: a
+    JSON boolean for a switch, else a string or a number."""
+    flag, switch = action.option_strings[-1], action.nargs == 0
+    if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+        kind = "true or false" if switch else "a string or a number"
+        raise ConfigError(f"config value for {flag} must be {kind}, got {value!r}")
+    try:
+        value = value if switch else (action.type or str)(str(value))
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config value for {flag}: {exc}") from exc
+    return value
 
 
 def _make_target(args):

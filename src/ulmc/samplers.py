@@ -226,70 +226,47 @@ class _Slot:
 
     def fill(self, rng, count):
         """Draw the first `count` steps, in the order the Generator would."""
-        if self.uniforms is None:  # one call draws the stream of `count` calls
-            rng.standard_normal(out=self.normals[:count])
-            return
         for s in range(count):
-            rng.random(out=self.uniforms[s])  # bitwise uniform(size=...)
+            if self.uniforms is not None:
+                rng.random(out=self.uniforms[s])  # bitwise uniform(size=...)
             rng.standard_normal(out=self.normals[s])
 
-    def draws(self, s):
-        """Step s's draws in request order."""
-        head = () if self.uniforms is None else (self.uniforms[s],)
-        return head + (self.normals[s],)
 
+class _Normals:
+    """Stands in for the Generator during one step: hands the step's normal
+    block to the one request of its shape, or raises UlmcError."""
 
-class _Replay:
-    """Stands in for the Generator during one step: hands out the step's
-    draws from a slot, in the draw plan's order, or raises UlmcError.
+    def __init__(self, method, block):
+        self.method, self.block = method, block
 
-    The draws are views into the slot.  Steppers may overwrite them, but
-    nothing may keep them past the step: the slot is then refilled.
-    """
-
-    def __init__(self, method, uniform_shape):
-        self.method = method
-        self.kinds = ("uniform",) * (uniform_shape is not None) + ("normal",)
-        self.draws, self.taken = (), 0
-
-    def _take(self, kind, shape):
-        i = self.taken
-        if i == len(self.kinds) or self.kinds[i] != kind or self.draws[i].shape != shape:
-            raise UlmcError(f"{self.method} step asked for {kind} draws of shape {shape} "
+    def standard_normal(self, size):
+        block, self.block = self.block, None
+        if block is None or block.shape != size:
+            raise UlmcError(f"{self.method} step asked for normals of shape {size} "
                             f"off its draw plan")
-        self.taken = i + 1
-        return self.draws[i]
+        return block
 
-    def uniform(self, size):
-        return self._take("uniform", size if isinstance(size, tuple) else (size,))
-
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            return self._take("normal", size if isinstance(size, tuple) else (size,))
-        out[...] = self._take("normal", out.shape)
-        return out
-
-    def finish(self):
-        if self.taken != len(self.kinds):
-            raise UlmcError(f"{self.method} step took {self.taken} of the "
-                            f"{len(self.kinds)} draws of its draw plan")
+    def close(self):
+        if self.block is not None:
+            raise UlmcError(f"{self.method} step did not take the normals of its draw plan")
 
 
 class _DrawAhead:
-    """Iterates over a run's steps, yielding a `_Replay` of each step's draws.
+    """Iterates over a run's steps, yielding each step's `_draw_plan` draws:
+    (midpoint fractions or None, normal block), as views into a slot.
 
     A second thread, the only user of rng while the run lasts, fills a ring
     of two slots (allocated once, here) with the draws of the coming steps,
     while the caller steps through the slot filled before.  A slot goes back
-    to the thread only once the caller asks for the step after its last.
-    Use it as a context manager: leaving it stops and joins the thread.
+    to the thread once the caller asks for the step after its last, so the
+    views may be overwritten but not kept past their step.  Use it as a
+    context manager: leaving it stops and joins the thread.
     """
 
     def __init__(self, rng, method, n_steps, chains, dim, R):
         plan = _draw_plan(method, chains, dim, R)
         self.n_steps = n_steps
         self.per_slot = max(1, min(n_steps, _steps_per_slot(*plan)))
-        self.replay = _Replay(method, plan[0])
         self._rng = rng
         self._free, self._full = queue.Queue(), queue.Queue()
         for _ in range(min(2, math.ceil(n_steps / self.per_slot))):
@@ -316,15 +293,12 @@ class _DrawAhead:
         self._thread.join()
 
     def __iter__(self):
-        replay = self.replay
         for start in range(0, self.n_steps, self.per_slot):
             slot = self._full.get()
             if isinstance(slot, BaseException):
                 raise slot
             for s in range(min(self.per_slot, self.n_steps - start)):
-                replay.draws, replay.taken = slot.draws(s), 0
-                yield replay
-                replay.finish()
+                yield None if slot.uniforms is None else slot.uniforms[s], slot.normals[s]
             self._free.put(slot)
 
 
@@ -332,14 +306,14 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
     """The one step loop: n_steps of one method on a (chains, d) batch.
 
     Chains start at x with zero velocity.  Each step draws, for the whole
-    batch, the midpoint fractions first and then the Gaussians, from the
-    single stream of the seed.  The draws are made one slot of steps ahead
-    on a second thread, in that fixed stream order, and replayed to the
-    steppers in place of the Generator (`_DrawAhead`), so outputs do not
-    depend on this.  h, n_steps, R and the state's shape are checked before
-    any draw.  After each step the state must be finite; every record_every
-    steps record(step, x, v) is called.  Returns the final state and the
-    audited gradient count.
+    batch, the midpoint fractions and then one block of Gaussians from the
+    single stream of the seed, one slot of steps ahead on a second thread
+    (`_DrawAhead`), so outputs do not depend on the thread.  The loop reads
+    the fractions and hands the block, in place of the Generator, to the one
+    builder or stepper that must take it whole (`_Normals`).  h, n_steps, R
+    and the state's shape are checked before any draw.  After each step the
+    state must be finite; every record_every steps record(step, x, v) is
+    called.  Returns the final state and the audited gradient count.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -353,13 +327,13 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
     counted = counter.wrapped()
     cells = np.arange(R)
     with _DrawAhead(np.random.default_rng(seed), method, n_steps, *x.shape, R) as ahead:
-        for n, rng in enumerate(ahead):
+        for n, (fractions, normals) in enumerate(ahead):
+            rng = _Normals(method, normals)
             if method == "rmm":
-                alphas = rng.uniform(size=x.shape[0])
-                inc = step_increments_batch(h, alphas, target.dim, rng)
-                state = rmm_step(state, counted, h, alphas, inc)
+                inc = step_increments_batch(h, fractions, target.dim, rng)
+                state = rmm_step(state, counted, h, fractions, inc)
             elif method == "rmm_parallel":
-                alphas = (cells + rng.uniform(size=(x.shape[0], R))) / R
+                alphas = (cells + fractions) / R
                 incs = parallel_step_increments(h, R, alphas, target.dim, rng)
                 state = parallel_rmm_step(state, counted, h, R, K, alphas, incs)
             elif method == "euler_uld":
@@ -369,6 +343,7 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
                 state = exponential_euler_uld_step(state, counted, h, inc)
             else:
                 state = overdamped_lmc_step(state, counted, h, rng)
+            rng.close()
             _require_finite(state, method)
             if record_every and (n + 1) % record_every == 0:
                 record(n + 1, state.x, state.v)

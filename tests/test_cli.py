@@ -233,6 +233,28 @@ class TestConfigFile:
         assert "configuration error" in err and "sed" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("values, code, flag", [
+        ({"h": 0.05, "n_steps": 3.5}, 2, "--n-steps"),
+        ({"h": 0.05, "n_steps": 3, "chains": 2.5}, 2, "--chains"),
+        ({"h": [0.05], "n_steps": 3}, 2, "--h"),
+        ({"h": 0.05, "n_steps": 3, "seed": 1.5}, 2, "--seed"),
+        ({"h": 0.05, "n_steps": 3, "chains": True}, 2, "--chains"),
+        ({"h": 0.05, "n_steps": 3, "method": "leapfrog"}, 2, "--method"),
+        ({"h": 0.05, "n_steps": 3, "scale-features": 1}, 2, "--scale-features"),
+        ({"h": "0.05", "n_steps": "3"}, 0, None),
+    ])
+    def test_values_pass_the_flags_checks(self, values, code, flag, tmp_path, capsys):
+        cfg, out = tmp_path / "run.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(values))
+        assert run_cli("sample", "--config", str(cfg), "--quad-diag", "1,4",
+                       "--out", str(out)) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "configuration error" in err and flag in err
+            assert not out.exists()
+        else:
+            assert "h=0.05 n_steps=3 " in out.read_text()
+
     def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
         # a config shared by sample and schedule: schedule takes no --seed
         cfg = tmp_path / "shared.json"

@@ -685,11 +685,15 @@ class TestDrawThread:
                               x0=np.zeros((3, 2))))
         assert err is boom
 
-    @pytest.mark.parametrize("extra", [1, -1])
+    @pytest.mark.parametrize("extra", [1, -1, "shape"])
     def test_draw_plan_mismatch(self, monkeypatch, extra):
         lmc_step = ulmc.samplers.overdamped_lmc_step
 
         def step(state, target, h, rng):
+            if extra == "shape":  # one block, a row longer than the plan's
+                chains, d = state.x.shape
+                rng.standard_normal((chains + 1, d))
+                return lmc_step(state, target, h, FixedRng())
             if extra > 0:  # one draw more than the plan holds
                 rng.standard_normal(state.x.shape)
                 return lmc_step(state, target, h, rng)
