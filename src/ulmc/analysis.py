@@ -20,6 +20,7 @@ from .errors import ConfigError, UlmcError, UnsupportedTargetError
 from .samplers import (
     SamplerState,
     Schedule,
+    _check_run,
     _require_finite,
     _resolve_start,
     exponential_euler_uld_step,
@@ -42,6 +43,11 @@ __all__ = [
     "coupled_error_experiment",
     "stationary_error_study",
 ]
+
+# Gauss-Legendre nodes over the moment oracle's midpoint fraction.
+QUADRATURE_NODES = 128
+# Resamples of the chains behind the stationary study's 95% interval.
+BOOTSTRAP_RESAMPLES = 200
 
 
 @dataclass
@@ -281,7 +287,6 @@ def rmm_moment_oracle(
     target: TargetSpec,
     h: float,
     n_steps: int,
-    quadrature_nodes: int = 128,
     x0=None,
     record_every: Optional[int] = None,
 ) -> MomentTrace:
@@ -293,16 +298,15 @@ def rmm_moment_oracle(
     averaged over the fraction with Gauss-Legendre quadrature.  The
     quadrature error is estimated by doubling the node count.
     """
-    if quadrature_nodes < 64:
-        raise UlmcError("need at least 64 quadrature nodes")
+    _check_run(h, n_steps, record_every)
     diag, center = _require_quadratic(target)
     u = 1.0 / target.smoothness
     start = np.asarray(x0, dtype=float) if x0 is not None else center
     steps, means, covs = _propagate_moments(
-        diag, center, h, n_steps, u, quadrature_nodes, start, record_every
+        diag, center, h, n_steps, u, QUADRATURE_NODES, start, record_every
     )
     _, means2, covs2 = _propagate_moments(
-        diag, center, h, n_steps, u, 2 * quadrature_nodes, start, record_every
+        diag, center, h, n_steps, u, 2 * QUADRATURE_NODES, start, record_every
     )
     err = max(
         float(np.max(np.abs(np.asarray(means) - np.asarray(means2)))),
@@ -345,8 +349,8 @@ def exact_uld_moments(target: TargetSpec, t: float, x0, v0):
     e^{At} is in closed form, written in decaying factors, so the law is
     stable for any horizon.
     """
-    if t < 0.0:
-        raise UlmcError(f"time must be >= 0, got {t}")
+    if not (0.0 <= t < math.inf):
+        raise UlmcError(f"time must be finite and >= 0, got {t}")
     diag, center = _require_quadratic(target)
     u = 1.0 / target.smoothness
     phi = _coordinate_flows(diag, u, t)
@@ -363,8 +367,8 @@ def contraction_check(target: TargetSpec, t: float, delta_x0, delta_v0) -> Contr
     linear flow, so the ratio is deterministic; it is bounded by e^{-t/kappa}.
     Zero initial difference returns ratio 0 with the degenerate flag.
     """
-    if t <= 0.0:
-        raise UlmcError(f"time must be positive, got {t}")
+    if not (0.0 < t < math.inf):
+        raise UlmcError(f"time must be finite and positive, got {t}")
     diag, _ = _require_quadratic(target)
     u = 1.0 / target.smoothness
     dx = np.asarray(delta_x0, dtype=float)
@@ -413,6 +417,8 @@ def coupled_error_experiment(
         raise ConfigError("reference refinement must be >= 32")
     if chains < 1:
         raise ConfigError(f"chain count must be >= 1, got {chains}")
+    if not methods:
+        raise ConfigError("coupled experiment needs at least one method")
     for method in methods:
         if method not in _COUPLED_METHODS:
             raise ConfigError(f"coupled experiment supports {_COUPLED_METHODS}, got {method}")
@@ -467,10 +473,6 @@ def _drive_on_path(target, method, total_time, inc, start, alphas=None):
             state = exponential_euler_uld_step(state, target, h, ExpEulerIncrements(w2[j], w3[j]))
         _require_finite(state, method)
     return state.x
-
-
-# Resamples of the chains behind the stationary study's 95% interval.
-BOOTSTRAP_RESAMPLES = 200
 
 
 def stationary_error_study(

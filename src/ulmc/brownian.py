@@ -391,9 +391,7 @@ def step_increments_batch(h, alphas, dim, rng) -> StepIncrements:
     one (3, k, dim) block, so k = 1 reproduces step_increments.
     """
     _require_length(h)
-    alphas = np.asarray(alphas, dtype=float)
-    if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
-        raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
+    alphas = _require_fractions(alphas)
     return StepIncrements(*_whole_step(h, alphas, len(alphas), dim, rng))
 
 
@@ -408,6 +406,14 @@ def exp_euler_increments_batch(h, chains, dim, rng) -> ExpEulerIncrements:
     _require_length(h)
     _, w2, w3 = _whole_step(h, None, chains, dim, rng)
     return ExpEulerIncrements(W2=w2, W3=w3)
+
+
+def _require_fractions(alphas):
+    """Midpoint fractions as a float array, each in [0, 1]; nan is not."""
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
+        raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
+    return alphas
 
 
 def _require_cells(alphas, R):
@@ -486,10 +492,7 @@ class BrownianPathStore:
         if alphas is None:  # no midpoint: nothing is drawn, W1 comes out empty
             at = np.empty((0, n_steps, chains))
         else:
-            alphas = np.asarray(alphas, dtype=float)
-            if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
-                raise UlmcError(f"midpoint fraction must be in [0, 1], got {alphas}")
-            at = alphas[None] * k
+            at = _require_fractions(alphas)[None] * k
         fresh = self.rng.standard_normal(at.shape + (dim,))
         w1, w2, w3 = _equal_cells(self.law, cell_h.copy(), cell_g.copy(), at, fresh)
         return StepIncrements(None if alphas is None else w1[0], w2, w3)

@@ -7,6 +7,9 @@ Steppers:
   exponential_euler_uld_step  frozen-gradient exponential integrator
   overdamped_lmc_step      first-order Langevin baseline (no velocity)
 
+The midpoint steppers and the exponential integrator share one exact
+update, `_flow`; they differ only in their estimates of the gradient.
+
 All steppers are pure functions of (state, randomness) with friction 2 and
 inverse mass u = 1/L, and take a state of one chain, shape (d,), or of a
 batch of chains, shape (chains, d).  One loop, `_drive`, runs every method
@@ -34,6 +37,7 @@ from .brownian import (  # noqa: F401  (one-chain adapters stay importable here)
     ParallelIncrements,
     StepIncrements,
     _require_cells,
+    _require_fractions,
     exp_euler_increments,
     exp_euler_increments_batch,
     parallel_step_increments,
@@ -132,9 +136,19 @@ class EnsembleResult:
     checkpoints: list = field(default_factory=list)  # [(step, mean, cov)]
 
 
-def _check_step(h, state: SamplerState, target: TargetSpec):
+def _check_run(h, n_steps=0, record_every=None):
+    """The rule for h, n_steps and record_every (None or 0: never record)
+    that every stepper, run and oracle applies."""
     if not (0.0 < h < H_MAX_STEPPER):
         raise ScheduleError(f"step size must be in (0, {H_MAX_STEPPER}), got {h}")
+    if n_steps < 0:
+        raise ScheduleError(f"iteration count must be >= 0, got {n_steps}")
+    if record_every is not None and record_every < 0:
+        raise ConfigError(f"record_every must be >= 0, got {record_every}")
+
+
+def _check_step(h, state: SamplerState, target: TargetSpec):
+    _check_run(h)
     if state.x.shape[-1] != target.dim or state.v.shape != state.x.shape:
         raise UlmcError(
             f"state dimension {state.x.shape} does not match target d={target.dim}"
@@ -155,31 +169,31 @@ def rmm_step(
     gradient evaluations: at x and at the midpoint estimate.
     """
     _check_step(h, state, target)
-    alpha = np.asarray(alpha, dtype=float)
-    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
-        raise UlmcError(f"midpoint fraction must be in [0, 1], got {alpha}")
+    alpha = _require_fractions(alpha)
     u = 1.0 / target.smoothness
-    x, v = state.x, state.v
     ah = alpha[..., None] * h if alpha.ndim else alpha * h
     decay_mid = np.exp(-2.0 * ah)
-    decay_full = math.exp(-2.0 * h)
     tail = np.exp(-2.0 * (h - ah))
-
-    x_mid = (
-        x
-        + 0.5 * (1.0 - decay_mid) * v
-        - 0.5 * u * (ah - 0.5 * (1.0 - decay_mid)) * target.gradient(x)
-        + math.sqrt(u) * inc.W1
-    )
+    w_mid = 0.5 * u * (ah - 0.5 * (1.0 - decay_mid))
+    x_mid = _advance(state.x, state.v, decay_mid, w_mid, target.gradient(state.x), u, inc.W1)
     grad_mid = target.gradient(x_mid)
-    x_new = (
-        x
-        + 0.5 * (1.0 - decay_full) * v
-        - 0.5 * u * h * (1.0 - tail) * grad_mid
-        + math.sqrt(u) * inc.W2
-    )
-    v_new = v * decay_full - u * h * tail * grad_mid + 2.0 * math.sqrt(u) * inc.W3
-    return SamplerState(x=x_new, v=v_new, step=state.step + 1)
+    return _flow(state, math.exp(-2.0 * h), u,
+                 0.5 * u * h * (1.0 - tail), grad_mid, u * h * tail, grad_mid, inc)
+
+
+def _advance(x, v, decay, weight, grad, u, noise):
+    """Position after the exact flow over a span whose velocity decays by
+    `decay`, with weight * grad estimating the gradient integral.  The kick
+    is formed inside the sum, weight (scalar or per-chain column) first."""
+    return x + 0.5 * (1.0 - decay) * v - weight * grad + math.sqrt(u) * noise
+
+
+def _flow(state, decay, u, w_x, grad_x, w_v, grad_v, inc):
+    """The exact step, decay = e^{-2h}, that rmm, rmm_parallel and
+    exp_euler_uld share: only their gradient estimates differ."""
+    x = _advance(state.x, state.v, decay, w_x, grad_x, u, inc.W2)
+    v = state.v * decay - w_v * grad_v + 2.0 * math.sqrt(u) * inc.W3
+    return SamplerState(x=x, v=v, step=state.step + 1)
 
 
 def _resolve_start(target: TargetSpec, x0):
@@ -317,8 +331,7 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    if n_steps < 0:
-        raise ScheduleError(f"iteration count must be >= 0, got {n_steps}")
+    _check_run(h, n_steps, record_every)
     if R < 1:
         raise ScheduleError(f"midpoint count must be >= 1, got {R}")
     state = SamplerState(x=x, v=np.zeros_like(x), step=0)
@@ -503,18 +516,9 @@ def parallel_rmm_step(
 
     grads = gradients(estimates)
     tail = np.exp(-2.0 * (h - mids))[..., None, :]
-    x_new = (
-        x
-        + 0.5 * (1.0 - math.exp(-2.0 * h)) * v
-        - 0.5 * u * delta * ((1.0 - tail) @ grads)[..., 0, :]
-        + math.sqrt(u) * incs.W2
-    )
-    v_new = (
-        v * math.exp(-2.0 * h)
-        - u * delta * (tail @ grads)[..., 0, :]
-        + 2.0 * math.sqrt(u) * incs.W3
-    )
-    return SamplerState(x=x_new, v=v_new, step=state.step + 1)
+    return _flow(state, math.exp(-2.0 * h), u,
+                 0.5 * u * delta, ((1.0 - tail) @ grads)[..., 0, :],
+                 u * delta, (tail @ grads)[..., 0, :], incs)
 
 
 def parallel_rmm_run(
@@ -565,15 +569,7 @@ def exponential_euler_uld_step(
     u = 1.0 / target.smoothness
     w_x, w_v = exp_euler_coefficients(h)
     grad = target.gradient(state.x)
-    decay = math.exp(-2.0 * h)
-    x_new = (
-        state.x
-        + 0.5 * (1.0 - decay) * state.v
-        - 0.5 * u * w_x * grad
-        + math.sqrt(u) * inc.W2
-    )
-    v_new = state.v * decay - u * w_v * grad + 2.0 * math.sqrt(u) * inc.W3
-    return SamplerState(x=x_new, v=v_new, step=state.step + 1)
+    return _flow(state, math.exp(-2.0 * h), u, 0.5 * u * w_x, grad, u * w_v, grad, inc)
 
 
 def overdamped_lmc_step(state: SamplerState, target: TargetSpec, h, rng) -> SamplerState:

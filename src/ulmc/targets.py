@@ -9,7 +9,7 @@ targets are safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -115,14 +115,7 @@ class GradientCounter:
             self.count += 1 if x.ndim == 1 else x.shape[0]
             return self._target.gradient(x)
 
-        return TargetSpec(
-            dim=self._target.dim,
-            gradient=counted,
-            smoothness=self._target.smoothness,
-            strong_convexity=self._target.strong_convexity,
-            minimizer=self._target.minimizer,
-            value=self._target.value,
-        )
+        return replace(self._target, gradient=counted)
 
 
 def quadratic_target(diag, center) -> TargetSpec:

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import ulmc
-from ulmc import Schedule, UlmcError, UnsupportedTargetError
+from ulmc import ConfigError, Schedule, ScheduleError, UlmcError, UnsupportedTargetError
 from ulmc.analysis import _coordinate_flows, _weight_sq_integral, w_covariance
 
 
@@ -228,11 +228,6 @@ class TestMomentOracle:
             np.diag(trace.covs[-1]), [1.0, 1.0], rtol=5e-5
         )
 
-    def test_rejects_too_few_nodes(self):
-        target = ulmc.quadratic_target([1.0], [0.0])
-        with pytest.raises(UlmcError):
-            ulmc.rmm_moment_oracle(target, 0.05, 2, quadrature_nodes=16)
-
 
 class TestCoordinateFlow:
     """The closed-form e^{At}, A = [[0,1],[-ua,-2]], against 50-digit mpmath
@@ -427,3 +422,23 @@ class TestStationaryStudy:
         sched = ulmc.schedule(0.5, target.kappa, C=0.5, L=target.smoothness)
         study = ulmc.stationary_error_study(target, sched, 400, seed=7)
         assert study.normalized_ci_high <= 0.5
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda t: ulmc.rmm_moment_oracle(t, 0.05, -3), ScheduleError),
+    (lambda t: ulmc.rmm_moment_oracle(t, 0.0, 3), ScheduleError),
+    (lambda t: ulmc.rmm_moment_oracle(t, -0.05, 3), ScheduleError),
+    (lambda t: ulmc.rmm_moment_oracle(t, math.nan, 3), ScheduleError),
+    (lambda t: ulmc.rmm_moment_oracle(t, 0.05, 3, record_every=-1), ConfigError),
+    (lambda t: ulmc.run_chain(t, "rmm", 0.05, 3, 0, record_every=-1), ConfigError),
+    (lambda t: ulmc.exact_uld_moments(t, math.nan, [1.0, 0.0], [0.0, 0.0]), UlmcError),
+    (lambda t: ulmc.exact_uld_moments(t, math.inf, [1.0, 0.0], [0.0, 0.0]), UlmcError),
+    (lambda t: ulmc.contraction_check(t, math.nan, [1.0, 0.0], [0.0, 1.0]), UlmcError),
+    (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, methods=()), ConfigError),
+], ids=["oracle n_steps < 0", "oracle h = 0", "oracle h < 0", "oracle h nan",
+        "oracle record_every < 0", "run_chain record_every < 0", "moments t nan",
+        "moments t inf", "contraction t nan", "coupled no methods"])
+def test_oracles_and_runs_reject_what_the_samplers_reject(call, error):
+    target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+    with pytest.raises(error):
+        call(target)

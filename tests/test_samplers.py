@@ -613,6 +613,29 @@ class TestOneDriver:
         np.testing.assert_array_equal(result.final.v, expected.v)
         assert result.final.step == n_steps
 
+    @pytest.mark.parametrize("method", ["rmm", "rmm_parallel", "exp_euler_uld"])
+    def test_exact_steppers_share_one_update(self, method, monkeypatch):
+        flows = []
+        flow = ulmc.samplers._flow
+        monkeypatch.setattr(ulmc.samplers, "_flow", lambda *a: flows.append(a) or flow(*a))
+        target = ulmc.quadratic_target([1.0, 4.0], [0.3, -0.2])
+        rng = np.random.default_rng(12)
+        state = SamplerState(x=rng.standard_normal((4, 2)), v=rng.standard_normal((4, 2)))
+        h, R, K = 0.05, 3, 3
+        if method == "rmm":
+            alphas = rng.uniform(size=4)
+            inc = ulmc.brownian.step_increments_batch(h, alphas, 2, rng)
+            new = ulmc.rmm_step(state, target, h, alphas, inc)
+        elif method == "rmm_parallel":
+            alphas = (np.arange(R) + rng.uniform(size=(4, R))) / R
+            incs = ulmc.parallel_step_increments(h, R, alphas, 2, rng)
+            new = ulmc.parallel_rmm_step(state, target, h, R, K, alphas, incs)
+        else:
+            inc = ulmc.brownian.exp_euler_increments_batch(h, 4, 2, rng)
+            new = ulmc.exponential_euler_uld_step(state, target, h, inc)
+        assert len(flows) == 1
+        assert new.step == 1 and new.x.shape == new.v.shape == (4, 2)
+
 
 def test_concurrent_runs_under_fast_thread_switching(monkeypatch):
     # four runs, each with its own draw thread, on one-step slots: the ring

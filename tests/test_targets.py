@@ -1,5 +1,7 @@
 """Target construction, gradient correctness and dataset ingestion."""
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from ulmc import (
     logistic_target,
     quadratic_target,
 )
-from ulmc.targets import GradientCounter, _minimize_gradient_descent
+from ulmc.targets import GradientCounter, TargetSpec, _minimize_gradient_descent
 
 
 def central_difference(value, x, step):
@@ -360,3 +362,17 @@ class TestGradientCounter:
         assert counter.count == 1
         wrapped.gradient(np.zeros((7, 2)))
         assert counter.count == 8
+
+    def test_wrapped_target_keeps_every_field(self):
+        @dataclasses.dataclass(frozen=True)
+        class TaggedTarget(TargetSpec):
+            tag: str = "untagged"
+
+        base = quadratic_target([1.0, 2.0], [0.5, 0.0])
+        target = TaggedTarget(**{f.name: getattr(base, f.name)
+                                 for f in dataclasses.fields(base)}, tag="kept")
+        wrapped = GradientCounter(target).wrapped()
+        assert type(wrapped) is TaggedTarget and wrapped.tag == "kept"
+        for f in dataclasses.fields(base):
+            if f.name != "gradient":
+                assert getattr(wrapped, f.name) is getattr(target, f.name)
