@@ -197,6 +197,14 @@ def _require_quadratic(target: TargetSpec):
     return diag, center
 
 
+def _require_point(value, target: TargetSpec, name):
+    """value as a (d,) float array; UlmcError naming d for any other shape."""
+    point = np.asarray(value, dtype=float)
+    if point.shape != (target.dim,):
+        raise UlmcError(f"{name} shape {point.shape} does not match target d={target.dim}")
+    return point
+
+
 def _gauss_legendre_01(n):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return 0.5 * (nodes + 1.0), 0.5 * weights
@@ -301,7 +309,7 @@ def rmm_moment_oracle(
     _check_run(h, n_steps, record_every)
     diag, center = _require_quadratic(target)
     u = 1.0 / target.smoothness
-    start = np.asarray(x0, dtype=float) if x0 is not None else center
+    start = _require_point(x0, target, "x0") if x0 is not None else center
     steps, means, covs = _propagate_moments(
         diag, center, h, n_steps, u, QUADRATURE_NODES, start, record_every
     )
@@ -356,7 +364,8 @@ def exact_uld_moments(target: TargetSpec, t: float, x0, v0):
     phi = _coordinate_flows(diag, u, t)
     stat = np.stack([1.0 / diag, np.full_like(diag, u)], axis=1)  # diagonal of S
     sigma = stat[:, :, None] * np.eye(2) - (phi * stat[:, None, :]) @ phi.transpose(0, 2, 1)
-    z0 = np.stack([np.asarray(x0, dtype=float) - center, np.asarray(v0, dtype=float)], 1)
+    z0 = np.stack([_require_point(x0, target, "x0") - center,
+                   _require_point(v0, target, "v0")], 1)
     return _stack_coordinates((phi @ z0[:, :, None])[:, :, 0], sigma, center)
 
 

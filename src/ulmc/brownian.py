@@ -66,19 +66,30 @@ def _exp_tail(x, k):
     """E_k(x) = e^x - sum_{j<k} x^j / j!, to rounding for every x, elementwise.
 
     Below |x| = 0.5, 13 Taylor terms reach rounding for every k >= 2; above
-    it, expm1 minus the low terms cancels by at most about 5 bits.
+    it, expm1 minus the low terms cancels by at most about 5 bits.  The
+    expm1 branch is evaluated only where it is returned.
     """
     x = np.asarray(x, dtype=float)[()]  # scalars stay numpy scalars, which are fast
+    big = np.abs(x) >= 0.5
+    if x.ndim == 0 and big:
+        return _exp_tail_direct(x, k)
     series = 0.0 * x
     for j in reversed(range(k, k + 13)):
         series *= x
         series += _INV_FACTORIAL[j]
     for _ in range(k):
         series *= x
+    if x.ndim and big.any():
+        series[big] = _exp_tail_direct(x[big], k)
+    return series
+
+
+def _exp_tail_direct(x, k):
+    """E_k(x) as expm1(x) minus its low Taylor terms, for |x| >= 0.5."""
     direct = np.expm1(x)
     for j in range(1, k):
         direct -= x**j / math.factorial(j)
-    return np.where(np.abs(x) < 0.5, series, direct)[()]
+    return direct
 
 
 def gh_covariance(t):

@@ -141,10 +141,15 @@ def _check_run(h, n_steps=0, record_every=None):
     that every stepper, run and oracle applies."""
     if not (0.0 < h < H_MAX_STEPPER):
         raise ScheduleError(f"step size must be in (0, {H_MAX_STEPPER}), got {h}")
-    if n_steps < 0:
-        raise ScheduleError(f"iteration count must be >= 0, got {n_steps}")
-    if record_every is not None and record_every < 0:
-        raise ConfigError(f"record_every must be >= 0, got {record_every}")
+    if not _is_count(n_steps):
+        raise ScheduleError(f"iteration count must be an integer >= 0, got {n_steps!r}")
+    if record_every is not None and not _is_count(record_every):
+        raise ConfigError(f"record_every must be an integer >= 0, got {record_every!r}")
+
+
+def _is_count(value):
+    """A Python or numpy integer >= 0; bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
 def _check_step(h, state: SamplerState, target: TargetSpec):

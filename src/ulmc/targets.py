@@ -9,6 +9,7 @@ targets are safe to share across workers.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -159,6 +160,8 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
     evaluated as lam*theta - (sum_i y_i x_i + sum_i tanh(-m_i/2) y_i x_i)/(2n)
     for margins m_i = y_i x_i^T theta, since sigma(-m) = (1 + tanh(-m/2))/2: two
     matrix products and one in-place tanh, overflow-safe for any margin.
+    A batch large enough to pay for a thread (see _SPLIT_WORK) is split by
+    rows between the calling thread and one helper thread.
 
     m = lam exactly; L from the Hessian bound (estimate_smoothness).  The
     minimizer is computed by gradient descent to ||grad|| <= 1e-8 so that
@@ -179,9 +182,16 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
 
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)
-        t = (-0.5 * theta) @ yx.T  # -m/2, (n,) or (k, n)
-        np.tanh(t, out=t)
-        return lam * theta - (label_sum + t @ yx) / (2.0 * n)
+        k = theta.shape[0] if theta.ndim == 2 else 0
+        if (k // 2) * n * d < _SPLIT_WORK:
+            t = (-0.5 * theta) @ yx.T  # -m/2, (n,) or (k, n)
+            np.tanh(t, out=t)
+            return lam * theta - (label_sum + t @ yx) / (2.0 * n)
+        # both halves write into buffers allocated here, so the helper
+        # thread allocates nothing of its own
+        scaled, t, s = -0.5 * theta, np.empty((k, n)), np.empty((k, d))
+        _split_rows(lambda rows: _margin_products(scaled[rows], yx, t[rows], s[rows]), k)
+        return lam * theta - (label_sum + s) / (2.0 * n)
 
     def value(theta):
         theta = np.asarray(theta, dtype=float)
@@ -201,6 +211,43 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
         minimizer=minimizer,
         value=value,
     )
+
+
+# A batched logistic gradient splits its rows between the calling thread and
+# one helper thread when each half holds at least this many multiply-adds
+# (rows/2 * n * d): about one such product costs as much as starting and
+# joining the helper.
+_SPLIT_WORK = 2**20
+
+
+def _margin_products(scaled, yx, t, s):
+    """t = tanh(scaled @ yx.T) and s = t @ yx, written into t and s."""
+    np.matmul(scaled, yx.T, out=t)
+    np.tanh(t, out=t)
+    np.matmul(t, yx, out=s)
+
+
+def _split_rows(work, k):
+    """work(rows) on rows [0, k//2) here and on [k//2, k) on one helper
+    thread, whose products release the GIL.  The helper is always joined,
+    and an exception from either half is raised here."""
+    half = k // 2
+    raised = []
+
+    def second_half():
+        try:
+            work(slice(half, k))
+        except BaseException as exc:
+            raised.append(exc)
+
+    helper = threading.Thread(target=second_half, name="ulmc-gradient")
+    helper.start()
+    try:
+        work(slice(0, half))
+    finally:
+        helper.join()
+    if raised:
+        raise raised[0]
 
 
 def estimate_smoothness(data: Dataset, lam: float) -> SmoothnessEstimate:

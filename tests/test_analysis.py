@@ -435,10 +435,42 @@ class TestStationaryStudy:
     (lambda t: ulmc.exact_uld_moments(t, math.inf, [1.0, 0.0], [0.0, 0.0]), UlmcError),
     (lambda t: ulmc.contraction_check(t, math.nan, [1.0, 0.0], [0.0, 1.0]), UlmcError),
     (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, methods=()), ConfigError),
+    (lambda t: ulmc.run_chain(t, "rmm", 0.05, 10, 0, record_every=2.5), ConfigError),
+    (lambda t: ulmc.rmm_moment_oracle(t, 0.05, 10, record_every=2.5), ConfigError),
+    (lambda t: ulmc.run_chain(t, "rmm", 0.05, 10, 0, record_every=True), ConfigError),
+    (lambda t: ulmc.run_chain(t, "rmm", 0.05, 2.5, 0), ScheduleError),
+    (lambda t: ulmc.rmm_moment_oracle(t, 0.05, 2.5), ScheduleError),
+    (lambda t: ulmc.rmm_moment_oracle(t, 0.05, np.float64(3.0)), ScheduleError),
+    (lambda t: ulmc.run_chain(t, "rmm", 0.05, True, 0), ScheduleError),
+    (lambda t: ulmc.exact_uld_moments(t, 1.0, [1.0, 0.0, 3.0], [0.0, 0.0]), UlmcError),
+    (lambda t: ulmc.exact_uld_moments(t, 1.0, [1.0, 0.0], [0.0]), UlmcError),
+    (lambda t: ulmc.rmm_moment_oracle(t, 0.05, 3, x0=[1.0, 2.0, 3.0]), UlmcError),
 ], ids=["oracle n_steps < 0", "oracle h = 0", "oracle h < 0", "oracle h nan",
         "oracle record_every < 0", "run_chain record_every < 0", "moments t nan",
-        "moments t inf", "contraction t nan", "coupled no methods"])
+        "moments t inf", "contraction t nan", "coupled no methods",
+        "run_chain record_every 2.5", "oracle record_every 2.5", "run_chain record_every bool",
+        "run_chain n_steps 2.5", "oracle n_steps 2.5", "oracle n_steps float64",
+        "run_chain n_steps bool", "moments x0 of d = 3", "moments v0 of d = 1",
+        "oracle x0 of d = 3"])
 def test_oracles_and_runs_reject_what_the_samplers_reject(call, error):
     target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
     with pytest.raises(error):
         call(target)
+
+
+def test_oracles_name_the_dimension_of_a_wrong_start():
+    target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+    with pytest.raises(UlmcError, match=r"x0 shape \(3,\) does not match target d=2"):
+        ulmc.exact_uld_moments(target, 1.0, [1.0, 0.0, 3.0], [0.0, 0.0])
+    with pytest.raises(UlmcError, match=r"v0 shape \(1,\) does not match target d=2"):
+        ulmc.exact_uld_moments(target, 1.0, [1.0, 0.0], [0.0])
+    with pytest.raises(UlmcError, match=r"x0 shape \(3,\) does not match target d=2"):
+        ulmc.rmm_moment_oracle(target, 0.05, 3, x0=[1.0, 2.0, 3.0])
+
+
+def test_runs_and_oracles_take_numpy_integer_counts():
+    target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+    trace = ulmc.rmm_moment_oracle(target, 0.05, np.int64(4), record_every=np.int32(2))
+    assert trace.steps == [0, 2, 4]
+    result = ulmc.run_chain(target, "rmm", 0.05, np.int64(4), 0, record_every=np.int64(2))
+    assert [step for step, _, _ in result.history] == [0, 2, 4]

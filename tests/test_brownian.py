@@ -7,6 +7,7 @@ yields 10^5 independent scalar draws.
 
 import copy
 import functools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +21,7 @@ from ulmc import UlmcError
 from ulmc.analysis import w_covariance
 from ulmc.brownian import (
     BrownianPathStore,
+    _exp_tail,
     _residual_var,
     exp_euler_increments,
     exp_euler_increments_batch,
@@ -138,6 +140,35 @@ class TestIntervalCovariance:
                 cov = mp_gh_covariance(t)
                 oracle.append(float(cov[1, 1] - cov[0, 1] ** 2 / t))
         np.testing.assert_allclose(_residual_var(lengths), oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_exp_tail_matches_mpmath(self, k):
+        # series below |x| = 0.5 to a few ulp of E_k; above it expm1 minus
+        # the low terms, to a few ulp of the largest term it sums
+        def oracle(x):
+            with mp.workdps(50):
+                x = mp.mpf(x)
+                return float(mp.fsum(x**j / mp.factorial(j) for j in range(k, k + 200)))
+
+        def within_ulps(x, got):
+            x = float(x)
+            terms = [abs(math.expm1(x))] + [abs(x) ** j / math.factorial(j) for j in range(1, k)]
+            scale = abs(oracle(x)) if abs(x) < 0.5 else max(terms)
+            return abs(got - oracle(x)) <= 4 * np.spacing(scale)
+
+        mixed = np.array([-20.0, -3.0, -0.5, -0.4999, -0.1, -1e-9, 0.0, 1e-12, 0.05,
+                          0.4999, 0.5, 0.7, 2.0, 20.0])
+        got = _exp_tail(mixed, k)
+        assert got.shape == mixed.shape
+        assert all(within_ulps(x, g) for x, g in zip(mixed, got))
+        grid = mixed.reshape(2, 7)  # both branches in every row
+        np.testing.assert_array_equal(_exp_tail(grid, k), got.reshape(2, 7))
+        for x in (-0.7, -0.3, 1e-6, 0.25, 0.6, 5.0):
+            for scalar in (x, np.float64(x)):
+                got = _exp_tail(scalar, k)
+                assert np.ndim(got) == 0 and within_ulps(x, got)
+        small = np.linspace(-0.2, 0.0, 9)  # every entry takes the series
+        assert all(within_ulps(x, g) for x, g in zip(small, _exp_tail(small, k)))
 
     def test_rejects_bad_lengths(self):
         rng = np.random.default_rng(0)

@@ -322,12 +322,25 @@ def test_chain_count_below_one_is_config_error(argv, chains, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; the package must not import it
+def loaded_after_import(names):
+    """The modules of the given top-level packages that a fresh
+    `import ulmc, ulmc.cli` loads."""
     src = str(Path(ulmc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, ulmc.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, ulmc, ulmc.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {set(names)!r}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must not import it
+    assert loaded_after_import(["scipy"]) == "[]"
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    # importing concurrent.futures costs milliseconds and pulls in logging;
+    # the gradient's helper and the draw thread are plain threading.Thread
+    assert loaded_after_import(["concurrent", "logging"]) == "[]"

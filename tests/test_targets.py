@@ -1,6 +1,7 @@
 """Target construction, gradient correctness and dataset ingestion."""
 
 import dataclasses
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from ulmc import (
     logistic_target,
     quadratic_target,
 )
+from ulmc import targets
 from ulmc.targets import GradientCounter, TargetSpec, _minimize_gradient_descent
 
 
@@ -50,6 +52,26 @@ def random_logistic_data(rng, n=30, d=4):
     w = rng.standard_normal(d)
     y = np.where(x @ w + 0.2 * rng.standard_normal(n) > 0.0, 1.0, -1.0)
     return Dataset(features=x, labels=y)
+
+
+def split_rows(data):
+    """An odd row count whose smaller half just reaches the split threshold,
+    so the logistic gradient splits such a batch between two threads."""
+    return 2 * -(-targets._SPLIT_WORK // (data.n_samples * data.dim)) + 1
+
+
+@pytest.fixture
+def half_threads(monkeypatch):
+    """The threads that evaluated each half of a logistic gradient, in order."""
+    seen = []
+    inner = targets._margin_products
+
+    def recorded(*args):
+        seen.append(threading.current_thread())
+        inner(*args)
+
+    monkeypatch.setattr(targets, "_margin_products", recorded)
+    return seen
 
 
 class TestQuadraticTarget:
@@ -114,18 +136,25 @@ class TestLogisticTarget:
         grad = target.gradient(theta)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-10)
 
-    def test_batched_gradient_matches_rows(self):
+    def test_batched_gradient_matches_rows(self, half_threads):
+        # a split batch runs other BLAS kernels than one point does, so its
+        # entries near 0 may differ in the last bits of the gradient's scale
         rng = np.random.default_rng(11)
-        target = logistic_target(random_logistic_data(rng), 0.01)
-        thetas = rng.standard_normal((6, 4))
-        batched = target.gradient(thetas)
-        rows = np.stack([target.gradient(t) for t in thetas])
-        np.testing.assert_allclose(batched, rows, rtol=1e-13)
+        for n, d, k, atol in ((30, 4, 6, 0.0), (300, 20, None, 1e-15)):
+            data = random_logistic_data(rng, n=n, d=d)
+            target = logistic_target(data, 0.01)
+            half_threads.clear()  # the minimizer's single points do not split
+            thetas = rng.standard_normal((k or split_rows(data), d))
+            batched = target.gradient(thetas)
+            assert len(half_threads) == (0 if k else 2)
+            rows = np.stack([target.gradient(t) for t in thetas])
+            np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=atol)
 
     def test_gradient_matches_mpmath(self):
         # overlapping classes, and separable ones whose margins at 20 w give
         # sigma(-m) below 1e-10 for every row; absolute error per coordinate
         rng = np.random.default_rng(12)
+        fill_rng = np.random.default_rng(120)  # leaves rng's draws as they were
         overlapping = random_logistic_data(rng, n=40, d=5)
         w = np.array([1.0, -2.0, 0.5])
         y = np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0)
@@ -145,14 +174,69 @@ class TestLogisticTarget:
             if extra:
                 margins = data.labels * (data.features @ extra[0])
                 assert np.all(1.0 / (1.0 + np.exp(margins)) < 1e-10)
-            before = thetas.copy()
+            # the same points again at both ends of a batch that splits
+            filler = fill_rng.standard_normal((split_rows(data) - 2 * len(thetas), data.dim))
+            split = np.concatenate([thetas, filler, thetas])
+            before = thetas.copy(), split.copy()
             batched = target.gradient(thetas)
-            for theta, row in zip(thetas, batched):
+            split_batched = target.gradient(split)
+            ends = zip(thetas, batched, split_batched[:len(thetas)],
+                       split_batched[-len(thetas):])
+            for theta, row, first_half, second_half in ends:
                 oracle = mpmath_logistic_gradient(data, 0.01, theta)
-                assert np.all(np.abs(row - oracle) <= atol)
-                assert np.all(np.abs(target.gradient(theta) - oracle) <= atol)
+                for got in (row, target.gradient(theta), first_half, second_half):
+                    assert np.all(np.abs(got - oracle) <= atol)
             # the oracle writes only to its own temporaries
-            np.testing.assert_array_equal(thetas, before)
+            np.testing.assert_array_equal(thetas, before[0])
+            np.testing.assert_array_equal(split, before[1])
+
+    @pytest.mark.parametrize("raising_half", ["helper", "caller"])
+    def test_split_gradient_raises_either_half_and_joins(self, raising_half, monkeypatch):
+        rng = np.random.default_rng(13)
+        data = random_logistic_data(rng, n=200, d=10)
+        target = logistic_target(data, 0.01)
+        caller = threading.current_thread()
+        boom = RuntimeError(f"{raising_half} half failed")
+        inner = targets._margin_products
+
+        def failing(*args):
+            on_caller = threading.current_thread() is caller
+            if on_caller == (raising_half == "caller"):
+                raise boom
+            inner(*args)
+
+        monkeypatch.setattr(targets, "_margin_products", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            target.gradient(rng.standard_normal((split_rows(data), data.dim)))
+        assert raised.value is boom
+        assert threading.active_count() == threads
+
+    def test_concurrent_split_gradients_match_one_thread(self, monkeypatch, half_threads):
+        rng = np.random.default_rng(14)
+        data = random_logistic_data(rng, n=200, d=10)
+        target = logistic_target(data, 0.01)
+        batches = [rng.standard_normal((split_rows(data), data.dim)) for _ in range(4)]
+        with monkeypatch.context() as one_thread:
+            one_thread.setattr(targets, "_SPLIT_WORK", np.inf)
+            expected = [target.gradient(batch) for batch in batches]
+        half_threads.clear()
+        results = [None] * len(batches)
+        start = threading.Barrier(len(batches))
+
+        def call(i):
+            start.wait()
+            results[i] = target.gradient(batches[i])
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(batches))]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join()
+        assert len(half_threads) == 2 * len(batches)
+        assert len(set(half_threads)) == 2 * len(batches)  # one helper per call
+        for got, want in zip(results, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
 
     def test_sigmoid_stable_for_huge_margins(self):
         data = Dataset(features=np.array([[1.0]]), labels=np.array([1.0]))
