@@ -20,6 +20,7 @@ from .errors import ConfigError, UlmcError, UnsupportedTargetError
 from .samplers import (
     SamplerState,
     Schedule,
+    _check_chains,
     _check_run,
     _require_finite,
     _resolve_start,
@@ -100,46 +101,57 @@ class StationaryStudyResult:
     low_power: bool
 
 
-def _check_symmetric(mat, name):
+def _check_symmetric(mat, name, ndim):
+    """mat as a float array of ndim dimensions whose trailing two are a
+    square symmetric matrix (within 1e-10), symmetrized."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
         raise UlmcError(f"{name} must be square")
-    if not np.allclose(mat, mat.T, atol=1e-10, rtol=0.0):
+    mirror = np.swapaxes(mat, -1, -2)
+    if not np.allclose(mat, mirror, atol=1e-10, rtol=0.0):
         raise UlmcError(f"{name} is not symmetric within 1e-10")
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + mirror)
 
 
-def _psd_sqrt(mat):
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+def _w2_distances(means1, covs1, mean2, cov2):
+    """W2 from each Gaussian (means1[k], covs1[k]) of a (k, d), (k, d, d)
+    stack to the one Gaussian (mean2, cov2), as a (k,) array.
+
+    W2^2 = ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2}).
+    S2^{1/2} is taken once, by symmetric eigendecomposition; the trace of
+    the cross term's root is the sum of the square roots of its
+    eigenvalues, floored at zero.
+    """
+    covs1 = _check_symmetric(covs1, "cov1", 3)
+    cov2 = _check_symmetric(cov2, "cov2", 2)
+    means1, mean2 = np.asarray(means1, dtype=float), np.asarray(mean2, dtype=float)
+    k, d = covs1.shape[:2]
+    if means1.shape != (k, d) or mean2.shape != (d,) or cov2.shape != (d, d):
+        raise UlmcError(f"means and covariances must share one dimension, cov1 has d={d}")
+    vals, vecs = np.linalg.eigh(cov2)
+    root2 = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    cross = np.linalg.eigvalsh(root2 @ covs1 @ root2)
+    gap = np.sum((means1 - mean2) ** 2, axis=-1)
+    scale = gap + np.trace(covs1, axis1=1, axis2=2) + np.trace(cov2)
+    w2_sq = scale - 2.0 * np.sum(np.sqrt(np.clip(cross, 0.0, None)), axis=-1)
+    # the trace term cancels to rounding noise for (near-)identical inputs;
+    # anything below working precision of the operands is a true zero
+    w2_sq[w2_sq <= 1e-13 * scale] = 0.0
+    return np.sqrt(w2_sq)
 
 
 def gaussian_w2(mean1, cov1, mean2, cov2, m: Optional[float] = None) -> W2Result:
-    """Closed-form W2 between Gaussians.
+    """Closed-form W2 between Gaussians (one pair of `_w2_distances`).
 
-    W2^2 = ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2}),
-    with matrix square roots by symmetric eigendecomposition, eigenvalues
-    floored at zero.
+    With m, the strong convexity constant, normalized divides the distance
+    by the effective diameter sqrt(d/m); m must be finite and positive.
     """
+    if m is not None and not (math.isfinite(m) and m > 0.0):
+        raise UlmcError(f"strong convexity m must be finite and positive, got {m}")
     mean1 = np.asarray(mean1, dtype=float)
-    mean2 = np.asarray(mean2, dtype=float)
-    cov1 = _check_symmetric(cov1, "cov1")
-    cov2 = _check_symmetric(cov2, "cov2")
-    root2 = _psd_sqrt(cov2)
-    cross = _psd_sqrt(root2 @ cov1 @ root2)
-    gap = float(np.sum((mean1 - mean2) ** 2))
-    trace_term = float(np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross))
-    w2_sq = gap + trace_term
-    # the trace term cancels to rounding noise for (near-)identical inputs;
-    # anything below working precision of the operands is a true zero
-    scale = gap + float(np.trace(cov1) + np.trace(cov2))
-    if w2_sq <= 1e-13 * scale:
-        w2_sq = 0.0
-    distance = math.sqrt(max(w2_sq, 0.0))
-    normalized = None
-    if m is not None:
-        normalized = distance / math.sqrt(mean1.size / m)
+    cov1 = np.asarray(cov1, dtype=float)[None]
+    distance = float(_w2_distances(mean1[None], cov1, mean2, cov2)[0])
+    normalized = None if m is None else distance / math.sqrt(mean1.size / m)
     return W2Result(distance=distance, normalized=normalized)
 
 
@@ -424,8 +436,7 @@ def coupled_error_experiment(
         raise ConfigError(f"total time must be positive and finite, got {total_time}")
     if reference_refinement < 32:
         raise ConfigError("reference refinement must be >= 32")
-    if chains < 1:
-        raise ConfigError(f"chain count must be >= 1, got {chains}")
+    _check_chains(chains)
     if not methods:
         raise ConfigError("coupled experiment needs at least one method")
     for method in methods:
@@ -484,6 +495,65 @@ def _drive_on_path(target, method, total_time, inc, start, alphas=None):
     return state.x
 
 
+def _weighted_products(centred, weights, k):
+    """Weighted sums (k, d) and second moments (k, d, d) of the centred
+    sample (d, n) under k weightings of its n columns, taken from the
+    iterator `weights` one (n,) row at a time.
+
+    Per block of d weightings, one product gives the sums, and d products
+    give the upper triangle of the second moments: coordinate i's row
+    against the products of coordinate i with coordinates i and up.  The
+    lower triangle is mirrored.  No buffer holds more numbers than the
+    sample.
+    """
+    d, n = centred.shape
+    sums, second = np.empty((k, d)), np.empty((k, d, d))
+    block, products = np.empty((d, n)), np.empty((d, n))
+    for start in range(0, k, d):
+        rows = block[: min(d, k - start)]
+        for row in rows:
+            row[...] = next(weights)
+        stop = start + len(rows)
+        np.matmul(rows, centred.T, out=sums[start:stop])
+        for i in range(d):
+            np.multiply(centred[i:], centred[i], out=products[i:])
+            second[start:stop, i, i:] = rows @ products[i:].T
+    upper, lower = np.triu_indices(d, 1)
+    second[:, lower, upper] = second[:, upper, lower]
+    return sums, second
+
+
+def _bootstrap_w2(xs, seed, mean, cov):
+    """W2 from the fitted Gaussian of the final positions xs (chains, d) to
+    the Gaussian (mean, cov), then from that of each bootstrap resample of
+    the chains: a (1 + BOOTSTRAP_RESAMPLES,) array.
+
+    Resample r draws its chain indices with rng.integers and enters as
+    their multiplicities w; the sample itself enters with unit ones.  The
+    positions are centred once on their mean, and with dm the w-weighted
+    mean of the centred positions c_j, a fit's covariance is
+    (sum_j w_j c_j c_j^T - chains dm dm^T) / (chains - 1).
+    """
+    chains, d = xs.shape
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
+
+    def multiplicities():
+        yield np.ones(chains)
+        for _ in range(BOOTSTRAP_RESAMPLES):
+            yield np.bincount(rng.integers(0, chains, size=chains), minlength=chains)
+
+    centre = xs.mean(axis=0)
+    sums, covs = _weighted_products(
+        np.subtract(xs.T, centre[:, None], out=np.empty((d, chains))),
+        multiplicities(),
+        1 + BOOTSTRAP_RESAMPLES,
+    )
+    offset = sums / chains
+    covs -= chains * offset[:, :, None] * offset[:, None, :]
+    covs /= max(chains - 1, 1)  # a single chain has covariance zero
+    return _w2_distances(centre + offset, covs, mean, cov)
+
+
 def stationary_error_study(
     target: TargetSpec,
     sched: Schedule,
@@ -494,33 +564,18 @@ def stationary_error_study(
     target Gaussian, with a bootstrap confidence interval over chains.
 
     Requires a diagonal quadratic target so the target law is Gaussian and
-    the distance has a closed form on fitted moments.
+    the distance has a closed form on fitted moments.  The interval holds
+    the 2.5 % and 97.5 % quantiles of the distances of BOOTSTRAP_RESAMPLES
+    resamples of the chains (`_bootstrap_w2`).
     """
     diag, center = _require_quadratic(target)
-    m = target.strong_convexity
-    target_cov = np.diag(1.0 / diag)
     ens = rmm_run_ensemble(target, sched, chains, seed)
-    xs = ens.x
-
-    def fitted_w2(sample):
-        mu = sample.mean(axis=0)
-        if sample.shape[0] < 2:
-            cov = np.zeros((sample.shape[1], sample.shape[1]))
-        else:
-            cov = np.cov(sample, rowvar=False)
-            cov = np.atleast_2d(cov)
-        return gaussian_w2(mu, cov, center, target_cov, m=m)
-
-    point = fitted_w2(xs)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
-    draws = []
-    for _ in range(BOOTSTRAP_RESAMPLES):
-        idx = rng.integers(0, chains, size=chains)
-        draws.append(fitted_w2(xs[idx]).distance)
-    lo, hi = np.quantile(draws, [0.025, 0.975])
-    diameter = math.sqrt(target.dim / m)
+    distances = _bootstrap_w2(ens.x, seed, center, np.diag(1.0 / diag))
+    point = float(distances[0])
+    lo, hi = np.quantile(distances[1:], [0.025, 0.975])
+    diameter = math.sqrt(target.dim / target.strong_convexity)
     return StationaryStudyResult(
-        w2=point,
+        w2=W2Result(distance=point, normalized=point / diameter),
         ci_low=float(lo),
         ci_high=float(hi),
         normalized_ci_low=float(lo) / diameter,

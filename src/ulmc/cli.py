@@ -28,7 +28,14 @@ import numpy as np
 from . import __version__
 from .analysis import coupled_error_experiment, stationary_error_study
 from .errors import ConfigError, ScheduleError, UlmcError
-from .samplers import METHODS, _resolve_start, run_chain, schedule, schedule_parallel
+from .samplers import (
+    METHODS,
+    _check_chains,
+    _resolve_start,
+    run_chain,
+    schedule,
+    schedule_parallel,
+)
 from .targets import load_libsvm, logistic_target, quadratic_target
 
 
@@ -193,16 +200,22 @@ def _write_table(args, header, rows, notes=(), footer=()):
 
 
 def cmd_sample(args) -> int:
+    explicit = sum(value is not None for value in (args.h, args.n_steps))
+    if explicit != (0 if args.epsilon is not None else 2):
+        raise ConfigError("give --epsilon alone or both --h and --n-steps "
+                          "(flags and config keys count together)")
+    if args.epsilon is not None and args.method == "rmm_parallel":
+        # --epsilon derives the serial rule's (h, N) only
+        raise ConfigError("--epsilon does not set R and K for rmm_parallel: take h, R, K "
+                          "and N from `ulmc schedule --parallel` and pass them as --h, "
+                          "--r-midpoints, --k-iters and --n-steps")
+    _check_chains(args.chains)
     target = _make_target(args)
     if args.epsilon is not None:
         sched = schedule(args.epsilon, target.kappa, C=args.c_const, L=target.smoothness)
         h, n_steps = sched.h, sched.N
-    elif args.h is not None and args.n_steps is not None:
-        h, n_steps = args.h, args.n_steps
     else:
-        raise ConfigError("give either --epsilon or both --h and --n-steps")
-    if args.chains < 1:
-        raise ConfigError(f"chain count must be >= 1, got {args.chains}")
+        h, n_steps = args.h, args.n_steps
 
     start = np.tile(_resolve_start(target, None), (args.chains, 1))
     result = run_chain(target, args.method, h, n_steps, args.seed,

@@ -152,6 +152,11 @@ def _is_count(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
+def _check_chains(chains):
+    if not _is_count(chains) or chains < 1:
+        raise ConfigError(f"chain count must be an integer >= 1, got {chains!r}")
+
+
 def _check_step(h, state: SamplerState, target: TargetSpec):
     _check_run(h)
     if state.x.shape[-1] != target.dim or state.v.shape != state.x.shape:
@@ -436,8 +441,7 @@ def rmm_run_ensemble(
     when requested.
     """
     _check_schedule_u(sched, target)
-    if chains < 1:
-        raise ConfigError(f"chain count must be >= 1, got {chains}")
+    _check_chains(chains)
     result = EnsembleResult(x=None, v=None, grad_evals=0)
 
     def record(step, x, v):

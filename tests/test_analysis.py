@@ -1,6 +1,8 @@
 """Moment oracles, Gaussian W2, contraction and the coupled experiments."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +11,15 @@ from scipy.integrate import quad
 
 import ulmc
 from ulmc import ConfigError, Schedule, ScheduleError, UlmcError, UnsupportedTargetError
-from ulmc.analysis import _coordinate_flows, _weight_sq_integral, w_covariance
+from ulmc import analysis
+from ulmc.analysis import (
+    BOOTSTRAP_RESAMPLES,
+    _bootstrap_w2,
+    _coordinate_flows,
+    _w2_distances,
+    _weight_sq_integral,
+    w_covariance,
+)
 
 
 class TestGaussianW2:
@@ -64,6 +74,158 @@ class TestGaussianW2:
         bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(UlmcError):
             ulmc.gaussian_w2(np.zeros(2), bad, np.zeros(2), np.eye(2))
+
+    @pytest.mark.parametrize("mean1, mean2, cov2", [
+        ([0.0], [0.0, 0.0], np.eye(2)),
+        ([0.0, 0.0, 0.0], [0.0, 0.0], np.eye(2)),
+        ([0.0, 0.0], [0.0], np.eye(2)),
+        ([0.0, 0.0], [0.0, 0.0], np.eye(3)),
+    ], ids=["mean1 of d = 1", "mean1 of d = 3", "mean2 of d = 1", "cov2 of d = 3"])
+    def test_rejects_mixed_dimensions(self, mean1, mean2, cov2):
+        with pytest.raises(UlmcError, match="one dimension"):
+            ulmc.gaussian_w2(mean1, np.eye(2), mean2, cov2)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_m_that_is_not_finite_and_positive(self, m):
+        with pytest.raises(UlmcError, match="strong convexity"):
+            ulmc.gaussian_w2(np.zeros(2), np.eye(2), np.ones(2), np.eye(2), m=m)
+
+
+def random_spd(rng, k, d, rank=None):
+    a = rng.standard_normal((k, d, rank or d))
+    return a @ a.transpose(0, 2, 1) + (0.0 if rank else 0.1 * np.eye(d))
+
+
+class TestBatchedW2:
+    """`_w2_distances` over a stack equals `gaussian_w2` pair by pair."""
+
+    def check_stack(self, means, covs, mean2, cov2):
+        batched = _w2_distances(means, covs, mean2, cov2)
+        single = [ulmc.gaussian_w2(mu, cov, mean2, cov2).distance
+                  for mu, cov in zip(means, covs)]
+        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0.0)
+        return batched
+
+    def test_random_spd_stack(self):
+        rng = np.random.default_rng(11)
+        means, covs = rng.standard_normal((9, 4)), random_spd(rng, 9, 4)
+        self.check_stack(means, covs, rng.standard_normal(4), random_spd(rng, 1, 4)[0])
+
+    def test_singular_stack_and_target(self):
+        rng = np.random.default_rng(12)
+        means, covs = rng.standard_normal((9, 5)), random_spd(rng, 9, 5, rank=2)
+        self.check_stack(means, covs, rng.standard_normal(5), random_spd(rng, 1, 5, rank=3)[0])
+        self.check_stack(means, np.zeros((9, 5, 5)), np.zeros(5), random_spd(rng, 1, 5)[0])
+
+    def test_identical_inputs_are_exactly_zero(self):
+        rng = np.random.default_rng(13)
+        mean2, cov2 = rng.standard_normal(6), random_spd(rng, 1, 6)[0]
+        distances = self.check_stack(np.tile(mean2, (4, 1)), np.tile(cov2, (4, 1, 1)),
+                                     mean2, cov2)
+        np.testing.assert_array_equal(distances, 0.0)
+
+    def test_one_asymmetric_member_raises(self):
+        rng = np.random.default_rng(14)
+        covs = random_spd(rng, 5, 3)
+        covs[3, 0, 2] += 1e-6
+        with pytest.raises(UlmcError, match="cov1 is not symmetric"):
+            _w2_distances(np.zeros((5, 3)), covs, np.zeros(3), np.eye(3))
+
+
+def head_gaussian_w2(mean1, cov1, mean2, cov2):
+    """The closed form as gaussian_w2 computed it pair by pair before the
+    batched routine: eigh square roots and the trace of the cross root."""
+
+    def psd_sqrt(mat):
+        vals, vecs = np.linalg.eigh(mat)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+    root2 = psd_sqrt(cov2)
+    cross = psd_sqrt(root2 @ cov1 @ root2)
+    gap = float(np.sum((mean1 - mean2) ** 2))
+    w2_sq = gap + float(np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross))
+    if w2_sq <= 1e-13 * (gap + float(np.trace(cov1) + np.trace(cov2))):
+        w2_sq = 0.0
+    return math.sqrt(max(w2_sq, 0.0))
+
+
+def reference_bootstrap(xs, seed, center, target_cov):
+    """Distances by the per-resample loop the batched bootstrap replaced: a
+    fancy-indexed copy, np.cov and the W2 of each resample, drawn in the
+    same order from the same stream; the point estimate first.  Also flags
+    each fit whose covariance is singular but not zero (2 to d distinct
+    chains)."""
+    chains, d = xs.shape
+
+    def fitted_w2(sample):
+        cov = np.atleast_2d(np.cov(sample, rowvar=False)) if chains > 1 else np.zeros((d, d))
+        return head_gaussian_w2(sample.mean(axis=0), cov, center, target_cov)
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
+    samples = [np.arange(chains)] + [rng.integers(0, chains, size=chains)
+                                     for _ in range(BOOTSTRAP_RESAMPLES)]
+    distinct = np.array([np.unique(idx).size for idx in samples])
+    return np.array([fitted_w2(xs[idx]) for idx in samples]), (distinct > 1) & (distinct <= d)
+
+
+def stub_chain(monkeypatch, xs):
+    """Make the stationary study's chain return final positions xs."""
+    monkeypatch.setattr(analysis, "rmm_run_ensemble",
+                        lambda target, sched, chains, seed: SimpleNamespace(x=xs))
+
+
+class TestBootstrap:
+    @pytest.mark.parametrize("law", ["far", "near"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("chains", [1, 2, 50, 2000])
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    def test_distances_match_the_per_resample_loop(self, law, d, chains, seed, monkeypatch):
+        diag = np.linspace(1.0, 4.0, d)
+        center, target_cov = np.zeros(d), np.diag(1.0 / diag)
+        # far: distances of the order of the target's diameter; near: a
+        # converged run's, small against the traces, so the cross term cancels
+        shift, spread = {"far": (0.3, 0.7), "near": (0.05, 1.0 / math.sqrt(1.05))}[law]
+        rng = np.random.default_rng(seed)
+        xs = shift + spread * rng.standard_normal((chains, d)) / np.sqrt(diag)
+        reference, singular = reference_bootstrap(xs, seed, center, target_cov)
+        distances = _bootstrap_w2(xs, seed, center, target_cov)
+        if law == "far":
+            np.testing.assert_allclose(distances[~singular], reference[~singular],
+                                       rtol=1e-12, atol=0.0)
+        else:
+            # both evaluations round W2^2 at the 1e-13 * scale floor the
+            # closed form treats as zero
+            np.testing.assert_allclose(distances[~singular] ** 2, reference[~singular] ** 2,
+                                       rtol=0.0, atol=1e-13 * 2.0 * np.trace(target_cov))
+        # a singular fit's null eigenvalues are rounding noise of either
+        # evaluation, and the cross term takes their square roots
+        np.testing.assert_allclose(distances[singular], reference[singular],
+                                   rtol=1e-7, atol=0.0)
+
+        stub_chain(monkeypatch, xs)
+        target = ulmc.quadratic_target(diag, center)
+        sched = Schedule(h=0.05, N=0, u=1.0 / target.smoothness)
+        study = ulmc.stationary_error_study(target, sched, chains, seed)
+        assert study.w2.distance == distances[0]
+        assert study.w2.normalized == distances[0] / math.sqrt(d)
+        lo, hi = np.quantile(distances[1:], [0.025, 0.975])
+        assert (study.ci_low, study.ci_high) == (lo, hi)
+
+    def test_traced_peak_stays_below_four_samples(self, monkeypatch):
+        # one (resamples, chains) block of multiplicities alone is 20 samples' worth here
+        chains, d = 5000, 10
+        diag = np.linspace(1.0, 2.0, d)
+        xs = np.random.default_rng(3).standard_normal((chains, d)) / np.sqrt(diag)
+        stub_chain(monkeypatch, xs)
+        target = ulmc.quadratic_target(diag, np.zeros(d))
+        sched = Schedule(h=0.05, N=0, u=1.0 / target.smoothness)
+        tracemalloc.start()
+        try:
+            ulmc.stationary_error_study(target, sched, chains, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chains * d * 8
 
 
 class TestWCovariance:
@@ -445,13 +607,19 @@ class TestStationaryStudy:
     (lambda t: ulmc.exact_uld_moments(t, 1.0, [1.0, 0.0, 3.0], [0.0, 0.0]), UlmcError),
     (lambda t: ulmc.exact_uld_moments(t, 1.0, [1.0, 0.0], [0.0]), UlmcError),
     (lambda t: ulmc.rmm_moment_oracle(t, 0.05, 3, x0=[1.0, 2.0, 3.0]), UlmcError),
+    (lambda t: ulmc.rmm_run_ensemble(t, Schedule(0.05, 3, 0.25), 2.5, 0), ConfigError),
+    (lambda t: ulmc.rmm_run_ensemble(t, Schedule(0.05, 3, 0.25), True, 0), ConfigError),
+    (lambda t: ulmc.stationary_error_study(t, Schedule(0.05, 3, 0.25), 2.5, 0), ConfigError),
+    (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, chains=2.5), ConfigError),
+    (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, chains=True), ConfigError),
 ], ids=["oracle n_steps < 0", "oracle h = 0", "oracle h < 0", "oracle h nan",
         "oracle record_every < 0", "run_chain record_every < 0", "moments t nan",
         "moments t inf", "contraction t nan", "coupled no methods",
         "run_chain record_every 2.5", "oracle record_every 2.5", "run_chain record_every bool",
         "run_chain n_steps 2.5", "oracle n_steps 2.5", "oracle n_steps float64",
         "run_chain n_steps bool", "moments x0 of d = 3", "moments v0 of d = 1",
-        "oracle x0 of d = 3"])
+        "oracle x0 of d = 3", "ensemble chains 2.5", "ensemble chains bool",
+        "study chains 2.5", "coupled chains 2.5", "coupled chains bool"])
 def test_oracles_and_runs_reject_what_the_samplers_reject(call, error):
     target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
     with pytest.raises(error):

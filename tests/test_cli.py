@@ -84,6 +84,29 @@ class TestSampleCommand:
             assert run_cli("sample", "--quad-diag", "1", *argv, "--out", str(out)) == 2, argv
             assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (("--epsilon", "0.5", "--h", "0.01", "--n-steps", "3"), {}),
+        (("--epsilon", "0.5", "--h", "0.01"), {}),
+        (("--epsilon", "0.5", "--n-steps", "3"), {}),
+        ((), {"epsilon": 0.5, "h": 0.01, "n-steps": 3}),
+        (("--h", "0.01", "--n-steps", "3"), {"epsilon": 0.5}),
+    ], ids=["flags", "epsilon and h", "epsilon and n-steps", "config", "config epsilon"])
+    def test_epsilon_with_explicit_steps_is_config_error(self, flags, config, tmp_path,
+                                                         capsys):
+        cfg, out = tmp_path / "run.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("sample", "--config", str(cfg), "--quad-diag", "1,4", *flags,
+                       "--chains", "2", "--out", str(out)) == 2
+        assert "--epsilon alone" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_epsilon_does_not_schedule_the_parallel_method(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run_cli("sample", "--quad-diag", "1,4", "--method", "rmm_parallel",
+                       "--epsilon", "0.5", "--chains", "2", "--out", str(out)) == 2
+        assert "ulmc schedule --parallel" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_file_is_runtime_error(self, tmp_path):
         code = run_cli(
             "sample", "--target", "logistic",
