@@ -4,7 +4,9 @@ For diagonal quadratic targets the chain and the continuous dynamics are
 affine-Gaussian, so first/second moments can be propagated exactly; those
 oracles back the statistical checks of the samplers.  The coupled error
 experiment measures pathwise error against a shared-path fine reference,
-which is how the integrators' strong convergence orders are read off.
+which is how the integrators' strong convergence orders are read off; its
+runs step through the samplers' one loop, `samplers._drive`, on the rows of
+the shared path, so they are audited and checked as fresh-draw runs are.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import BrownianPathStore, ExpEulerIncrements, StepIncrements, _exp_tail
+from .brownian import BrownianPathStore, _exp_tail, _is_count
 from .errors import ConfigError, UlmcError, UnsupportedTargetError
-from .samplers import (
-    SamplerState,
+from .samplers import (  # noqa: F401  (bench/tracing.py patches the two steppers here)
     Schedule,
     _check_chains,
     _check_run,
-    _require_finite,
+    _drive,
     _resolve_start,
     exponential_euler_uld_step,
     rmm_run_ensemble,
@@ -83,11 +84,13 @@ class ContractionResult:
 
 @dataclass
 class CoupledErrorResult:
-    """Rows (h, method, mean_error) plus per-method log-log slope fits."""
+    """Rows (h, method, mean_error) plus per-method log-log slope fits, and
+    the audited gradient count of the reference and every (h, method) run."""
 
     rows: list
     slopes: dict
     errors: dict = field(default_factory=dict)  # (h, method) -> per-chain errors
+    grad_evals: int = 0
 
 
 @dataclass
@@ -425,17 +428,19 @@ def coupled_error_experiment(
     every method's increments are exact functionals of the same path.  One
     stream of the seed draws the cells, then for each h in order rmm's
     (n_steps, chains) midpoint fractions and the normal block that
-    completes W1.  Reports the chain-mean of ||x_method(T) - x_ref(T)|| per
-    row and a log-log slope per method.  A chain whose state or error stops
-    being finite raises UlmcError.
+    completes W1.  Every run steps through `samplers._drive`.  Reports the
+    chain-mean of ||x_method(T) - x_ref(T)|| per row, a log-log slope per
+    method and the runs' summed gradient count.  A chain whose state or
+    error stops being finite raises UlmcError.
     """
     h_values = [float(h) for h in h_values]
     if not h_values or not all(math.isfinite(h) and h > 0.0 for h in h_values):
         raise ConfigError(f"step sizes must be positive and finite, got {h_values}")
     if not (math.isfinite(total_time) and total_time > 0.0):
         raise ConfigError(f"total time must be positive and finite, got {total_time}")
-    if reference_refinement < 32:
-        raise ConfigError("reference refinement must be >= 32")
+    if not _is_count(reference_refinement) or reference_refinement < 32:
+        raise ConfigError(f"reference refinement must be an integer >= 32, "
+                          f"got {reference_refinement!r}")
     _check_chains(chains)
     if not methods:
         raise ConfigError("coupled experiment needs at least one method")
@@ -453,15 +458,18 @@ def coupled_error_experiment(
     start = np.tile(_resolve_start(target, x0), (chains, 1))
     rng = np.random.default_rng(seed)
     path = BrownianPathStore(total_time, n_ref, chains, target.dim, rng)
-    x_ref = _drive_on_path(target, "exp_euler_uld", total_time, path.increments(n_ref), start)
+    ref, grad_evals = _drive(target, "exp_euler_uld", total_time / n_ref, n_ref, None, start,
+                             1, 2, None, None, path=(None, path.increments(n_ref)))
     errors = {}
     for h in h_values:
         n = steps_per_h[h]
         alphas = rng.uniform(size=(n, chains)) if "rmm" in methods else None
         inc = path.increments(n, alphas)
         for method in methods:
-            x_end = _drive_on_path(target, method, total_time, inc, start, alphas)
-            error = np.linalg.norm(x_end - x_ref, axis=1)
+            state, count = _drive(target, method, total_time / n, n, None, start, 1, 2, None,
+                                  None, path=(alphas, inc))
+            grad_evals += count
+            error = np.linalg.norm(state.x - ref.x, axis=1)
             if not np.isfinite(error).all():  # finite states can still overflow here
                 raise UlmcError(f"{method} error at h={h} is not finite: chains diverged")
             errors[(h, method)] = error
@@ -476,23 +484,7 @@ def coupled_error_experiment(
             slopes[method] = float(np.polyfit(logs_h, logs_e, 1)[0])
         else:
             slopes[method] = float("nan")
-    return CoupledErrorResult(rows=rows, slopes=slopes, errors=errors)
-
-
-def _drive_on_path(target, method, total_time, inc, start, alphas=None):
-    """Final (chains, d) x of method's steps over [0, total_time] on the
-    (n_steps, chains, d) increments inc, from start at zero velocity; rmm
-    takes its (n_steps, chains) midpoint fractions from alphas."""
-    w1, w2, w3 = inc
-    h = total_time / len(w2)
-    state = SamplerState(x=start, v=np.zeros_like(start), step=0)
-    for j in range(len(w2)):
-        if method == "rmm":
-            state = rmm_step(state, target, h, alphas[j], StepIncrements(w1[j], w2[j], w3[j]))
-        else:
-            state = exponential_euler_uld_step(state, target, h, ExpEulerIncrements(w2[j], w3[j]))
-        _require_finite(state, method)
-    return state.x
+    return CoupledErrorResult(rows=rows, slopes=slopes, errors=errors, grad_evals=grad_evals)
 
 
 def _weighted_products(centred, weights, k):

@@ -133,9 +133,9 @@ def _cell_law(t):
     return _CellLaw(t, excess, rho, decay, q0, r0, decay * math.sqrt(rho))
 
 
-def _residual_var(t):
-    """Var(G | H) = Var(G) - Cov(H,G)^2 / Var(H), stable down to t = 0."""
-    return _gain_residual(t)[1]
+def _is_count(value):
+    """A Python or numpy integer >= 0; bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
 def _require_length(t):
@@ -479,6 +479,8 @@ class BrownianPathStore:
 
     def __init__(self, total_time, n_cells, chains, dim, rng):
         _require_length(total_time)
+        if not _is_count(n_cells) or n_cells < 1:
+            raise UlmcError(f"cell count must be an integer >= 1, got {n_cells!r}")
         self.n_cells = int(n_cells)
         self.cell = float(total_time) / self.n_cells
         self.law = _cell_law(self.cell)
@@ -492,11 +494,16 @@ class BrownianPathStore:
 
         alphas (n_steps, chains) are midpoint fractions, one per step, and
         complete W1 with one fresh (n_steps, chains, dim) normal block;
-        without them W1 is None.
+        without them W1 is None.  n_steps must be an integer >= 1 that
+        divides n_cells.
         """
-        if n_steps < 1 or self.n_cells % n_steps:
-            raise UlmcError(f"{n_steps} steps do not divide a path of {self.n_cells} cells")
+        if not _is_count(n_steps) or n_steps < 1 or self.n_cells % n_steps:
+            raise UlmcError(f"step count must be an integer >= 1 dividing the path's "
+                            f"{self.n_cells} cells, got {n_steps!r}")
         k, (chains, dim) = self.n_cells // n_steps, self.H.shape[1:]
+        if alphas is not None and np.shape(alphas) != (n_steps, chains):
+            raise UlmcError(f"expected ({n_steps}, {chains}) midpoint fractions, "
+                            f"got {np.shape(alphas)}")
         # (k, n_steps, chains, dim) views: cell j of every step
         cell_h, cell_g = (np.moveaxis(a.reshape(n_steps, k, chains, dim), 1, 0)
                           for a in (self.H, self.G))

@@ -13,17 +13,20 @@ update, `_flow`; they differ only in their estimates of the gradient.
 All steppers are pure functions of (state, randomness) with friction 2 and
 inverse mass u = 1/L, and take a state of one chain, shape (d,), or of a
 batch of chains, shape (chains, d).  One loop, `_drive`, runs every method
-on a (chains, d) batch; `run_chain`, `rmm_run`, `parallel_rmm_run` and
+on a (chains, d) batch, in fresh-draw runs and in the shared-path coupled
+runs of `analysis` alike; `run_chain`, `rmm_run`, `parallel_rmm_run` and
 `rmm_run_ensemble` wrap it.  The (epsilon, kappa) -> (h, N) rules live in
 `schedule` and `schedule_parallel`.
 
-A run's draws never depend on its state, so `_drive` makes them one slot
-of steps ahead on a second thread, in the fixed stream order of the seed,
-while the calling thread steps the chains; outputs do not depend on this.
+A fresh-draw run's draws never depend on its state, so `_drive` makes them
+one slot of steps ahead on a second thread, in the fixed stream order of
+the seed, while the calling thread steps the chains; outputs do not depend
+on this.  A coupled run steps through the rows of a `BrownianPathStore`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import queue
 import threading
@@ -36,6 +39,7 @@ from .brownian import (  # noqa: F401  (one-chain adapters stay importable here)
     ExpEulerIncrements,
     ParallelIncrements,
     StepIncrements,
+    _is_count,
     _require_cells,
     _require_fractions,
     exp_euler_increments,
@@ -145,11 +149,6 @@ def _check_run(h, n_steps=0, record_every=None):
         raise ScheduleError(f"iteration count must be an integer >= 0, got {n_steps!r}")
     if record_every is not None and not _is_count(record_every):
         raise ConfigError(f"record_every must be an integer >= 0, got {record_every!r}")
-
-
-def _is_count(value):
-    """A Python or numpy integer >= 0; bool is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
 def _check_chains(chains):
@@ -326,18 +325,43 @@ class _DrawAhead:
             self._free.put(slot)
 
 
-def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
+def _fresh_steps(method, h, n_steps, seed, chains, dim, R):
+    """`_drive`'s default source of each step's (midpoint fractions or None,
+    increments): draws of the seed made one slot ahead (`_DrawAhead`), each
+    normal block going whole to its builder or stepper (`_Normals`)."""
+    cells = np.arange(R)
+    with _DrawAhead(np.random.default_rng(seed), method, n_steps, chains, dim, R) as ahead:
+        for fractions, normals in ahead:
+            rng = _Normals(method, normals)
+            if method == "rmm":
+                yield fractions, step_increments_batch(h, fractions, dim, rng)
+            elif method == "rmm_parallel":
+                alphas = (cells + fractions) / R
+                yield alphas, parallel_step_increments(h, R, alphas, dim, rng)
+            elif method == "exp_euler_uld":
+                yield None, exp_euler_increments_batch(h, chains, dim, rng)
+            else:
+                yield None, rng
+            rng.close()
+
+
+def _path_steps(alphas, inc):
+    """Step j's (alphas[j] or None, row j of inc), inc from a path store."""
+    for j in range(len(inc.W2)):
+        yield (None if alphas is None else alphas[j],
+               StepIncrements(*(None if w is None else w[j] for w in inc)))
+
+
+def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record, path=None):
     """The one step loop: n_steps of one method on a (chains, d) batch.
 
-    Chains start at x with zero velocity.  Each step draws, for the whole
-    batch, the midpoint fractions and then one block of Gaussians from the
-    single stream of the seed, one slot of steps ahead on a second thread
-    (`_DrawAhead`), so outputs do not depend on the thread.  The loop reads
-    the fractions and hands the block, in place of the Generator, to the one
-    builder or stepper that must take it whole (`_Normals`).  h, n_steps, R
-    and the state's shape are checked before any draw.  After each step the
-    state must be finite; every record_every steps record(step, x, v) is
-    called.  Returns the final state and the audited gradient count.
+    Chains start at x with zero velocity.  Each step takes its midpoint
+    fractions (or None) and increments from fresh draws of the seed
+    (`_fresh_steps`), or from the rows of path = (alphas, increments) of a
+    `BrownianPathStore` (`_path_steps`).  h, n_steps, R and the state's
+    shape are checked before any draw.  After each step the state must be
+    finite; every record_every steps record(step, x, v) is called.  Returns
+    the final state and the audited gradient count.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -348,25 +372,19 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record):
     _check_step(h, state, target)
     counter = GradientCounter(target)
     counted = counter.wrapped()
-    cells = np.arange(R)
-    with _DrawAhead(np.random.default_rng(seed), method, n_steps, *x.shape, R) as ahead:
-        for n, (fractions, normals) in enumerate(ahead):
-            rng = _Normals(method, normals)
+    steps = _path_steps(*path) if path else _fresh_steps(method, h, n_steps, seed, *x.shape, R)
+    with contextlib.closing(steps):  # closing stops the draw thread
+        for n, (fractions, inc) in enumerate(steps):
             if method == "rmm":
-                inc = step_increments_batch(h, fractions, target.dim, rng)
                 state = rmm_step(state, counted, h, fractions, inc)
             elif method == "rmm_parallel":
-                alphas = (cells + fractions) / R
-                incs = parallel_step_increments(h, R, alphas, target.dim, rng)
-                state = parallel_rmm_step(state, counted, h, R, K, alphas, incs)
+                state = parallel_rmm_step(state, counted, h, R, K, fractions, inc)
             elif method == "euler_uld":
-                state = euler_uld_step(state, counted, h, rng)
+                state = euler_uld_step(state, counted, h, inc)
             elif method == "exp_euler_uld":
-                inc = exp_euler_increments_batch(h, x.shape[0], target.dim, rng)
                 state = exponential_euler_uld_step(state, counted, h, inc)
             else:
-                state = overdamped_lmc_step(state, counted, h, rng)
-            rng.close()
+                state = overdamped_lmc_step(state, counted, h, inc)
             _require_finite(state, method)
             if record_every and (n + 1) % record_every == 0:
                 record(n + 1, state.x, state.v)

@@ -556,6 +556,19 @@ class TestCoupledExperiment:
         with pytest.raises(ulmc.ConfigError):
             ulmc.coupled_error_experiment(target, [0.3], 1.0, seed=0, chains=1)
 
+    @pytest.mark.parametrize("methods, per_step", [(("rmm", "exp_euler_uld"), 3), (("rmm",), 2)])
+    def test_grad_evals_audits_every_run(self, methods, per_step):
+        # the reference takes one gradient per fine step; rmm two per step
+        # and the frozen-gradient integrator one
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        h_values, total_time, refinement, chains = [0.1, 0.2, 0.5], 2.0, 32, 3
+        res = ulmc.coupled_error_experiment(target, h_values, total_time, seed=4,
+                                            reference_refinement=refinement,
+                                            chains=chains, methods=methods)
+        n_h = [round(total_time / h) for h in h_values]
+        n_ref = max(n_h) * refinement
+        assert res.grad_evals == chains * (n_ref + per_step * sum(n_h))
+
     def test_rejects_low_refinement(self):
         target = ulmc.quadratic_target([1.0], [0.0])
         with pytest.raises(ulmc.ConfigError):
@@ -612,6 +625,10 @@ class TestStationaryStudy:
     (lambda t: ulmc.stationary_error_study(t, Schedule(0.05, 3, 0.25), 2.5, 0), ConfigError),
     (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, chains=2.5), ConfigError),
     (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, chains=True), ConfigError),
+    (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, reference_refinement=32.5),
+     ConfigError),
+    (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, reference_refinement=40.0),
+     ConfigError),
 ], ids=["oracle n_steps < 0", "oracle h = 0", "oracle h < 0", "oracle h nan",
         "oracle record_every < 0", "run_chain record_every < 0", "moments t nan",
         "moments t inf", "contraction t nan", "coupled no methods",
@@ -619,7 +636,8 @@ class TestStationaryStudy:
         "run_chain n_steps 2.5", "oracle n_steps 2.5", "oracle n_steps float64",
         "run_chain n_steps bool", "moments x0 of d = 3", "moments v0 of d = 1",
         "oracle x0 of d = 3", "ensemble chains 2.5", "ensemble chains bool",
-        "study chains 2.5", "coupled chains 2.5", "coupled chains bool"])
+        "study chains 2.5", "coupled chains 2.5", "coupled chains bool",
+        "coupled refinement 32.5", "coupled refinement 40.0"])
 def test_oracles_and_runs_reject_what_the_samplers_reject(call, error):
     target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
     with pytest.raises(error):

@@ -22,7 +22,7 @@ from ulmc.analysis import w_covariance
 from ulmc.brownian import (
     BrownianPathStore,
     _exp_tail,
-    _residual_var,
+    _gain_residual,
     exp_euler_increments,
     exp_euler_increments_batch,
     gh_covariance,
@@ -121,16 +121,14 @@ class TestIntervalCovariance:
         np.testing.assert_allclose(emp, oracle, rtol=0.05)
 
     def test_covariance_positive_definite_for_all_lengths(self):
-        from ulmc.brownian import _residual_var
-
         lengths = np.concatenate([np.logspace(-12, 1, 60), [0.05]])
         var_h, cov, var_g = gh_covariance(lengths)
         assert np.all(var_h > 0) and np.all(var_g > 0)
-        residual = _residual_var(lengths)
+        residual = _gain_residual(lengths)[1]
         assert np.all(residual > 0)
         # residual agrees with the cubic leading order at small lengths
         tiny = lengths[lengths < 1e-4]
-        np.testing.assert_allclose(_residual_var(tiny), tiny**3 / 3, rtol=1e-3)
+        np.testing.assert_allclose(_gain_residual(tiny)[1], tiny**3 / 3, rtol=1e-3)
 
     def test_residual_var_matches_mpmath(self):
         lengths = np.logspace(-8, 0, 33)
@@ -139,7 +137,7 @@ class TestIntervalCovariance:
             for t in map(mp.mpf, lengths):
                 cov = mp_gh_covariance(t)
                 oracle.append(float(cov[1, 1] - cov[0, 1] ** 2 / t))
-        np.testing.assert_allclose(_residual_var(lengths), oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(_gain_residual(lengths)[1], oracle, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_exp_tail_matches_mpmath(self, k):
@@ -592,6 +590,27 @@ class TestPathStore:
         store = BrownianPathStore(1.0, 8, 1, 2, np.random.default_rng(21))
         with pytest.raises(UlmcError):
             store.increments(3)
+
+    @pytest.mark.parametrize("n_steps", [4.0, np.float64(4.0), True, 0, -4],
+                             ids=["4.0", "float64 4.0", "bool", "0", "-4"])
+    def test_rejects_a_step_count_that_is_not_a_positive_integer(self, n_steps):
+        store = BrownianPathStore(1.0, 8, 3, 2, np.random.default_rng(21))
+        with pytest.raises(UlmcError, match="step count must be an integer >= 1"):
+            store.increments(n_steps)
+        np.testing.assert_array_equal(store.increments(np.int64(4)).W2,
+                                      store.increments(4).W2)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 3), (4,), (4, 3, 1)],
+                             ids=["too few chains", "too few steps", "one per step", "3-d"])
+    def test_rejects_fractions_of_another_shape(self, shape):
+        store = BrownianPathStore(1.0, 8, 3, 2, np.random.default_rng(21))
+        with pytest.raises(UlmcError, match=r"expected \(4, 3\) midpoint fractions"):
+            store.increments(4, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("n_cells", [0, -8, 2.7, 8.0, True])
+    def test_rejects_a_cell_count_that_is_not_a_positive_integer(self, n_cells):
+        with pytest.raises(UlmcError, match="cell count must be an integer >= 1"):
+            BrownianPathStore(1.0, n_cells, 3, 2, np.random.default_rng(21))
 
     def test_deterministic_given_seed(self):
         def build():
