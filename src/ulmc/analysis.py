@@ -123,7 +123,7 @@ def _w2_distances(means1, covs1, mean2, cov2):
     W2^2 = ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2}).
     S2^{1/2} is taken once, by symmetric eigendecomposition; the trace of
     the cross term's root is the sum of the square roots of its
-    eigenvalues, floored at zero.
+    eigenvalues, zero below d eps of the largest.
     """
     covs1 = _check_symmetric(covs1, "cov1", 3)
     cov2 = _check_symmetric(cov2, "cov2", 2)
@@ -133,7 +133,10 @@ def _w2_distances(means1, covs1, mean2, cov2):
         raise UlmcError(f"means and covariances must share one dimension, cov1 has d={d}")
     vals, vecs = np.linalg.eigh(cov2)
     root2 = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    cross = np.linalg.eigvalsh(root2 @ covs1 @ root2)
+    cross = np.linalg.eigvalsh(root2 @ covs1 @ root2)  # ascending
+    # a singular S1's null eigenvalues are rounding noise, whose roots (about
+    # sqrt(eps)) would enter the trace: below d eps of the largest, one is 0
+    cross[cross <= d * np.finfo(float).eps * cross[:, -1:]] = 0.0
     gap = np.sum((means1 - mean2) ** 2, axis=-1)
     scale = gap + np.trace(covs1, axis1=1, axis2=2) + np.trace(cov2)
     w2_sq = scale - 2.0 * np.sum(np.sqrt(np.clip(cross, 0.0, None)), axis=-1)

@@ -20,14 +20,13 @@ the scalar factor e^{2a}, which is what `compose` applies.
 inverting no matrix.  Closed forms that cancel leading orders are written in
 the one series helper, `_exp_tail`.
 
-RNG draw order is fixed for reproducibility.  A step with at most one
-midpoint draws one (k, chains, dim) block of normals: z0 and z1 give the
-whole step's (H, G), and z2, drawn when there is a midpoint, completes W1
-given them.  A step with R > 1 midpoints is R equal cells, midpoint r in
-cell r, and draws one (3R, chains, dim) block: per cell, left to right, H
-then G, then one normal per midpoint that completes its W1 given its
-cell's (H, G).  The path store draws all its cells up front in the same
-cell order, then one block per set of midpoint steps.
+Every step is k equal cells, joined by one builder, `_increments`, from
+each cell's normals z0 (for H) and z1 (for G given H) by prefix sums whose
+weights lie in [0, 1].  RNG draw order is fixed: a fresh step of k cells
+and m midpoints draws one (2k + m, chains, dim) block, per cell, left to
+right, z0 then z1, then one normal per midpoint.  One midpoint makes one
+cell; R > 1 midpoints make R cells, midpoint r in cell r.  The path store
+draws all its cells up front, then one block per set of midpoint steps.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ _CellLaw = namedtuple("_CellLaw", "t excess rho decay q0 r0 r1")
 
 
 def _cell_law(t):
-    """The builders' constants of one length t: `_gain_residual`'s excess =
+    """The builder's constants of one length t: `_gain_residual`'s excess =
     gamma - 1 and rho, decay = e^{-2t}, and W2 = q0 z0 - r1 z1, W3 = r0 z0 +
     r1 z1 in z0 = H / sqrt(t), z1 = (G - gamma H) / sqrt(rho).  Var(G)
     overflows above t of about 177, which raises UlmcError."""
@@ -311,86 +310,76 @@ def _midpoint_coefficients(law, alphas):
     return coef
 
 
-def _whole_step(h, alphas, chains, dim, rng):
-    """(W1, W2, W3) of fresh steps of length h, one row per chain, with at
-    most one midpoint each.
+def _increments(law, z, at, fresh):
+    """(W1, W2, W3) of steps of k equal cells of the law's length, in place.
 
-    One (k, chains, dim) block of normals is drawn.  z0 and z1 give the
-    whole step's H = sqrt(h) z0 and G - gamma H = sqrt(rho) z1, so W2 = H -
-    e^{-2h} G and W3 = e^{-2h} G take scalar coefficients.  alphas of shape
-    (chains,) makes k = 3, z2 completing W1 given (H, G); alphas None makes
-    k = 2 and W1 None.  `_cell_law` raises UlmcError for h above about 177.
+    z (k, 2, ..., dim) holds per cell, left to right, z0 = H / sqrt(cell)
+    and z1 = (G - gamma H) / sqrt(rho); at (m, ...) m midpoints per step, in
+    cells from its start, and fresh (m, ..., dim) one normal z2 each.  Cell
+    j gives W2_j = q0 z0 - r1 z1, W3_j = r0 z0 + r1 z1 and, for a midpoint
+    at fraction r of it, W1_loc = p0 z0 + p1 z1 + s z2.  With d = e^{-2
+    cell}, A2 <- A2 + W2_j + (1 - d) A3 and A3 <- d A3 + W3_j join the
+    cells, and W1 = A2 + (1 - e^{-2 r cell}) A3 + W1_loc takes the sums
+    before cell j: no weight exceeds 1, so nothing cancels.  W1 overwrites
+    fresh, W2 and W3 the last cell's z; one more (m or 1, ..., dim) block
+    is held.
     """
-    law = _cell_law(h)
-    z = rng.standard_normal((2 if alphas is None else 3, chains, dim))
-    # the outputs overwrite z: a call holds at most k + 1 (chains, dim) blocks
-    if alphas is None:
-        w3 = z[0] * law.r0
-    else:  # W1 while z is unscaled, then W3 in z[2]
-        p0, p1, s = _midpoint_coefficients(law, alphas)[..., None]
-        w1 = p0 * z[0]
-        z[2] *= s
-        w1 += z[2]
-        np.multiply(z[1], p1, out=z[2])
-        w1 += z[2]
-        w3 = np.multiply(z[0], law.r0, out=z[2])
-    z[1] *= law.r1
-    w3 += z[1]
-    z[0] *= law.q0
-    z[0] -= z[1]  # W2; where alpha = 1, p1 = -r1 and s = 0, so W1 == W2 bitwise
-    if alphas is None:
-        z[1] = w3
-        return None, z[0], z[1]
-    z[1] = w1
-    return z[1], z[0], z[2]
+    k, m = len(z), len(at)
+    z0, z1 = z[:, 0], z[:, 1]
+    # each midpoint's cell and fraction of it; one cell is a view that broadcasts
+    mid, rest, pick = 0, at, (0,)
+    if k > 1:
+        mid = np.minimum(at.astype(int), k - 1)
+        rest, pick = at - mid, (mid, *np.indices(mid.shape[1:], sparse=True))
+    if m:
+        p0, p1, s = _midpoint_coefficients(law, rest)[..., None]
+        fresh *= s
+        work = np.multiply(z0[pick], p0)  # the one work block, after p0's temporaries
+        fresh += work
+        np.multiply(z1[pick], p1, out=work)
+        fresh += work  # where r = 1, p1 = -r1 and s = 0: a one-cell W1 == W2 bitwise
+    else:
+        work = np.empty((1, *z.shape[2:]))
+    part = work[0]
+    for c0, c1 in zip(z0, z1):  # W2_j in c0, W3_j in c1
+        np.multiply(c0, law.r0, out=part)
+        c1 *= law.r1
+        part += c1
+        c0 *= law.q0
+        c0 -= c1
+        c1[...] = part
+    gain = -math.expm1(-2.0 * law.t)  # 1 - d
+    for j in range(1, k):  # cell j becomes the sums through it
+        np.multiply(z1[j - 1], gain, out=part)
+        z0[j] += part
+        z0[j] += z0[j - 1]
+        np.multiply(z1[j - 1], law.decay, out=part)
+        z1[j] += part
+    if m and k > 1:  # the sums before the midpoint's cell, none before the first
+        before = (np.maximum(mid - 1, 0), *pick[1:])
+        np.multiply(z0[before], (mid > 0)[..., None], out=work)
+        fresh += work
+        weight = np.where(mid > 0, -np.expm1(-2.0 * law.t * rest), 0.0)
+        np.multiply(z1[before], weight[..., None], out=work)
+        fresh += work
+    return fresh, z0[-1], z1[-1]
 
 
-def _equal_cells(law, cell_h, cell_g, at, fresh):
-    """(W1, W2, W3) of steps made of k equal cells of the law's length.
-
-    cell_h, cell_g (k, ..., dim) are the cells' (H, G), left to right, and
-    are overwritten.  at (m, ...) holds m midpoints per step, in cells from
-    the step's start, each in [0, k], and fresh (m, ..., dim) one normal
-    block per midpoint, in which W1 is built.  W1 is the rest of the
-    midpoint's cell, the W1 of a one-cell step drawn given that cell's (z0,
-    z1) as `_whole_step` draws it, plus the whole cells before the
-    midpoint: H summed, G carried from cell to cell by e^{-2 cell} <= 1 and
-    weighted to the midpoint.  W2 and W3 sum all k cells the same way.
-    Returns W1 (m, ..., dim) and W2, W3 (..., dim).
-    """
-    mid = np.minimum(at.astype(int), len(cell_h) - 1)  # the cell that holds it
-    rest = at - mid
-    pick = (mid, *np.indices(mid.shape[1:], sparse=True))  # midpoint's cell, by index
-    cell, excess, rho, decay = law.t, law.excess, law.rho, law.decay
-    p0, p1, s = _midpoint_coefficients(law, rest)[..., None]
-
-    def add_picked(cells, weight):  # one (m, ..., dim) temporary at a time
-        part = cells[pick]
-        part *= weight
-        np.add(fresh, part, out=fresh)
-
-    fresh *= s
-    for j in range(len(cell_g)):  # G - gamma H = sqrt(rho) z1, until the sums
-        cell_g[j] -= (1.0 + excess) * cell_h[j]
-    add_picked(cell_g, p1 / math.sqrt(rho))
-    add_picked(cell_h, p0 / math.sqrt(cell))  # z0 = H / sqrt(cell)
-    # each cell becomes the sum of the cells before it, G weighted to its start
-    h, g = np.zeros(cell_h.shape[1:]), np.zeros(cell_g.shape[1:])
-    for j in range(len(cell_h)):
-        g_next = (g + cell_g[j] + (1.0 + excess) * cell_h[j]) * decay  # G again
-        cell_h[j], h = h, h + cell_h[j]
-        cell_g[j], g = g, g_next
-    fresh += cell_h[pick]
-    add_picked(cell_g, -np.exp(-2.0 * cell * rest)[..., None])
-    h -= g
-    return fresh, h, g
+def _fresh_step(h, cells, at, dim, rng):
+    """`_increments` of fresh steps of length h, `cells` cells each, with
+    midpoints at (m, chains), from one (2 cells + m, chains, dim) block of
+    normals.  `_cell_law` raises UlmcError for cells above about 177."""
+    chains = at.shape[1]
+    z = rng.standard_normal((2 * cells + len(at), chains, dim))
+    cell_z = z[: 2 * cells].reshape(cells, 2, chains, dim)
+    return _increments(_cell_law(h / cells), cell_z, at, z[2 * cells :])
 
 
 def step_increments(h, alpha, dim, rng) -> StepIncrements:
     """Sample (W1, W2, W3) for one step of length h with midpoint alpha*h.
 
-    Three normals per coordinate: the whole step's (H, G), then W1 given
-    them.  For alpha = 0, W1 is exactly 0; for alpha = 1, exactly W2.
+    Three normals per coordinate: the step's (z0, z1), one cell, then W1
+    given them.  For alpha = 0, W1 is exactly 0; for alpha = 1, exactly W2.
     """
     return StepIncrements(*(w[0] for w in step_increments_batch(h, [alpha], dim, rng)))
 
@@ -402,8 +391,8 @@ def step_increments_batch(h, alphas, dim, rng) -> StepIncrements:
     one (3, k, dim) block, so k = 1 reproduces step_increments.
     """
     _require_length(h)
-    alphas = _require_fractions(alphas)
-    return StepIncrements(*_whole_step(h, alphas, len(alphas), dim, rng))
+    w1, w2, w3 = _fresh_step(h, 1, _require_fractions(alphas)[None], dim, rng)
+    return StepIncrements(w1[0], w2, w3)
 
 
 def exp_euler_increments(h, dim, rng) -> ExpEulerIncrements:
@@ -415,7 +404,7 @@ def exp_euler_increments_batch(h, chains, dim, rng) -> ExpEulerIncrements:
     """exp_euler_increments for `chains` chains, as (chains, dim) arrays
     drawn as one (2, chains, dim) block."""
     _require_length(h)
-    _, w2, w3 = _whole_step(h, None, chains, dim, rng)
+    _, w2, w3 = _fresh_step(h, 1, np.empty((0, chains)), dim, rng)
     return ExpEulerIncrements(W2=w2, W3=w3)
 
 
@@ -437,12 +426,12 @@ def _require_cells(alphas, R):
 def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     """Sample (W1_1..W1_R, W2, W3) jointly consistent with one path.
 
-    alpha_i must lie in its cell [(i-1)/R, i/R].  R = 1 draws as
-    step_increments does.  For R > 1, [0, h] is R equal cells; one (3R,
-    chains, dim) block is drawn, per cell its (H, G) normals, left to
-    right, then one normal per midpoint, which completes W1_i given its
-    cell's (H, G) (`_equal_cells`).  alphas has shape (R,), or (chains, R)
-    for a batch, when W1 has shape (chains, R, dim).
+    alpha_i must lie in its cell [(i-1)/R, i/R].  [0, h] is R equal cells;
+    one (3R, chains, dim) block is drawn, per cell its (z0, z1) normals,
+    left to right, then one normal per midpoint, which completes W1_i given
+    its cell's (H, G) (`_increments`), so R = 1 draws and builds as
+    step_increments does.  alphas has shape (R,), or (chains, R) for a
+    batch, when W1 has shape (chains, R, dim).
     """
     _require_length(h)
     R = int(R)
@@ -453,28 +442,20 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
         raise UlmcError(f"expected {R} midpoints, got shape {alphas.shape}")
     _require_cells(alphas, R)
     rows = np.clip(np.atleast_2d(alphas), 0.0, 1.0)
-    if R == 1:
-        w1, w2, w3 = _whole_step(h, rows[:, 0], len(rows), dim, rng)
-        w1 = w1[:, None]
-    else:
-        law = _cell_law(h / R)
-        z = rng.standard_normal((3 * R, len(rows), dim))
-        cell_h, cell_g = _sample_gh(law, z[: 2 * R].reshape(R, 2, len(rows), dim))
-        w1, w2, w3 = _equal_cells(law, cell_h, cell_g, rows.T * R, z[2 * R :])
-        w1 = w1.transpose(1, 0, 2)
+    w1, w2, w3 = _fresh_step(h, R, rows.T * R, dim, rng)
     if alphas.ndim == 1:
-        return ParallelIncrements(W1=w1[0], W2=w2[0], W3=w3[0])
-    return ParallelIncrements(W1=w1, W2=w2, W3=w3)
+        return ParallelIncrements(W1=w1[:, 0], W2=w2[0], W3=w3[0])
+    return ParallelIncrements(W1=w1.transpose(1, 0, 2), W2=w2, W3=w3)
 
 
 class BrownianPathStore:
     """One Brownian path per chain over [0, T], as a fixed grid of n_cells
     equal cells.
 
-    Every cell's (H, G) is drawn once, as one (n_cells, 2, chains, dim)
-    block: cells left to right, per cell a (chains, dim) block for H, then
-    one for G.  The path holds 16 chains n_cells dim bytes.  Steps are runs
-    of whole cells, so nothing is ever refined.
+    Every cell's (z0, z1) is drawn once, as one (n_cells, 2, chains, dim)
+    block, cells left to right, and kept (16 chains n_cells dim bytes): the
+    rounding of (H, G) would cost z1 its low digits.  Steps are runs of
+    whole cells, so nothing is ever refined.
     """
 
     def __init__(self, total_time, n_cells, chains, dim, rng):
@@ -485,12 +466,15 @@ class BrownianPathStore:
         self.cell = float(total_time) / self.n_cells
         self.law = _cell_law(self.cell)
         self.rng = rng
-        z = rng.standard_normal((self.n_cells, 2, chains, dim))
-        self.H, self.G = _sample_gh(self.law, z)
+        self.normals = rng.standard_normal((self.n_cells, 2, chains, dim))
+
+    # the cells' (n_cells, chains, dim) H and G, computed on each read
+    H = property(lambda self: _sample_gh(self.law, self.normals.copy())[0])
+    G = property(lambda self: _sample_gh(self.law, self.normals.copy())[1])
 
     def increments(self, n_steps, alphas=None):
         """(W1, W2, W3) of n_steps equal steps over [0, T], each of shape
-        (n_steps, chains, dim), built by `_equal_cells`.
+        (n_steps, chains, dim), built by `_increments`.
 
         alphas (n_steps, chains) are midpoint fractions, one per step, and
         complete W1 with one fresh (n_steps, chains, dim) normal block;
@@ -500,17 +484,16 @@ class BrownianPathStore:
         if not _is_count(n_steps) or n_steps < 1 or self.n_cells % n_steps:
             raise UlmcError(f"step count must be an integer >= 1 dividing the path's "
                             f"{self.n_cells} cells, got {n_steps!r}")
-        k, (chains, dim) = self.n_cells // n_steps, self.H.shape[1:]
+        k, (chains, dim) = self.n_cells // n_steps, self.normals.shape[2:]
         if alphas is not None and np.shape(alphas) != (n_steps, chains):
             raise UlmcError(f"expected ({n_steps}, {chains}) midpoint fractions, "
                             f"got {np.shape(alphas)}")
-        # (k, n_steps, chains, dim) views: cell j of every step
-        cell_h, cell_g = (np.moveaxis(a.reshape(n_steps, k, chains, dim), 1, 0)
-                          for a in (self.H, self.G))
+        # (k, 2, n_steps, chains, dim): cell j of every step
+        z = np.moveaxis(self.normals.reshape(n_steps, k, 2, chains, dim), 0, 2).copy()
         if alphas is None:  # no midpoint: nothing is drawn, W1 comes out empty
             at = np.empty((0, n_steps, chains))
         else:
             at = _require_fractions(alphas)[None] * k
         fresh = self.rng.standard_normal(at.shape + (dim,))
-        w1, w2, w3 = _equal_cells(self.law, cell_h.copy(), cell_g.copy(), at, fresh)
+        w1, w2, w3 = _increments(self.law, z, at, fresh)
         return StepIncrements(None if alphas is None else w1[0], w2, w3)

@@ -183,14 +183,13 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)
         k = theta.shape[0] if theta.ndim == 2 else 0
+        # -m/2 and its products, (n,) and (d,) or (k, n) and (k, d); split
+        # halves write into these too, so the helper allocates nothing
+        scaled, t, s = -0.5 * theta, np.empty((*theta.shape[:-1], n)), np.empty(theta.shape)
         if (k // 2) * n * d < _SPLIT_WORK:
-            t = (-0.5 * theta) @ yx.T  # -m/2, (n,) or (k, n)
-            np.tanh(t, out=t)
-            return lam * theta - (label_sum + t @ yx) / (2.0 * n)
-        # both halves write into buffers allocated here, so the helper
-        # thread allocates nothing of its own
-        scaled, t, s = -0.5 * theta, np.empty((k, n)), np.empty((k, d))
-        _split_rows(lambda rows: _margin_products(scaled[rows], yx, t[rows], s[rows]), k)
+            _margin_products(scaled, yx, t, s)
+        else:
+            _split_rows(lambda rows: _margin_products(scaled[rows], yx, t[rows], s[rows]), k)
         return lam * theta - (label_sum + s) / (2.0 * n)
 
     def value(theta):

@@ -96,6 +96,38 @@ def random_spd(rng, k, d, rank=None):
     return a @ a.transpose(0, 2, 1) + (0.0 if rank else 0.1 * np.eye(d))
 
 
+def mp_w2_of_fit(xs, cov2):
+    """50-digit W2 from the Gaussian fitted to the rows of xs (np.cov's
+    normalization), exactly of rank below d when rows <= d, to (0, cov2)."""
+    n, d = xs.shape
+    with mp.workdps(50):
+        rows = [[mp.mpf(v) for v in row] for row in xs]
+        mean = [mp.fsum(r[i] for r in rows) / n for i in range(d)]
+        cov1 = mp.matrix(d, d)
+        for i in range(d):
+            for j in range(d):
+                cov1[i, j] = mp.fsum((r[i] - mean[i]) * (r[j] - mean[j]) for r in rows) / (n - 1)
+        root2 = mp.sqrtm(mp.matrix(cov2.tolist()))
+        cross, _ = mp.eigsy(root2 * cov1 * root2)
+        w2_sq = (mp.fsum(m * m for m in mean) + mp.fsum(cov1[i, i] for i in range(d))
+                 + mp.fsum(mp.mpf(cov2[i, i]) for i in range(d))
+                 - 2 * mp.fsum(mp.sqrt(max(v, 0)) for v in cross))
+        return float(mp.sqrt(w2_sq))
+
+
+@pytest.mark.parametrize("chains, d", [(2, 3), (3, 5), (4, 10)])
+def test_rank_deficient_fits_match_mpmath(chains, d):
+    # a fit of chains <= d rows is singular: the cross term's null
+    # eigenvalues are rounding noise, whose roots must not enter the trace
+    cov2 = np.diag(np.linspace(0.1, 1.0, d))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((chains, d)) * rng.uniform(0.2, 2.0, d)
+        got = ulmc.gaussian_w2(xs.mean(axis=0), np.cov(xs.T), np.zeros(d), cov2).distance
+        exact = mp_w2_of_fit(xs, cov2)
+        assert abs(got - exact) <= 1e-12 * exact
+
+
 class TestBatchedW2:
     """`_w2_distances` over a stack equals `gaussian_w2` pair by pair."""
 

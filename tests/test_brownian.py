@@ -465,9 +465,9 @@ class TestEqualCellDraw:
                              + [np.resize(self.FRACTIONS, R)])
         alphas = (np.arange(R) + fractions) / R
         inc = ulmc.parallel_step_increments(h, R, alphas, 3 * R, UnitNormals())
-        # W1 is built from sums of the cells' H and G, which cancel from
-        # terms of order cell^(1/2) to W1 of order cell^(3/2)
-        tol = 1e-15 / (h / R)
+        # every weight of the cells' prefix sums lies in [0, 1], so no term
+        # of order cell^(1/2) cancels to W1's order cell^(3/2)
+        tol = 2e-15
         for row, alpha in enumerate(alphas):
             coef = np.vstack([inc.W1[row], inc.W2[row], inc.W3[row]])  # (R + 2, 3R)
             assert np.all(coef[R:, 2 * R:] == 0.0)  # W2, W3 read only the cells
@@ -483,7 +483,65 @@ class TestEqualCellDraw:
             np.testing.assert_allclose(own**2, s2, rtol=1e-12, atol=0)
 
 
+class TestCellSumsAgainstMpmath:
+    """W2 and W3 of one step of k cells, pathwise, against a 50-digit sum
+    over the same cells' normals: every weight in the builder's prefix sums
+    lies in [0, 1], so no term of order sqrt(h) cancels to W2's h^(3/2)."""
+
+    DRAWS = 200
+
+    @staticmethod
+    def mp_weights(h, k):
+        """Per cell j, the weights of (z0_j, z1_j) in W2 and in W3, for H_j =
+        sqrt(c) z0_j and G_j = gamma H_j + sqrt(rho) z1_j, c = h/k:
+        W2 = sum_j H_j - e^{-2(h - jc)} G_j and W3 = sum_j e^{-2(h - jc)} G_j."""
+        with mp.workdps(50):
+            h = mp.mpf(h)
+            c = h / k
+            gamma = mp.expm1(2 * c) / (2 * c)
+            root_rho = mp.sqrt(mp.expm1(4 * c) / 4 - gamma**2 * c)
+            decay = [mp.exp(-2 * (h - j * c)) for j in range(k)]
+            w2 = [(mp.sqrt(c) * (1 - d * gamma), -d * root_rho) for d in decay]
+            w3 = [(d * gamma * mp.sqrt(c), d * root_rho) for d in decay]
+        return w2, w3
+
+    def assert_matches_mpmath(self, h, z0, z1, w2, w3):
+        """z0, z1 (k, draws) normals; w2, w3 (draws,) the builder's output."""
+        weights = self.mp_weights(h, len(z0))
+        with mp.workdps(50):
+            sd = np.sqrt(np.diag(np.array(mp_w_covariance(h, []).tolist(), dtype=float)))
+            for built, weight, scale in zip((w2, w3), weights, sd):
+                exact = [float(mp.fsum(a * mp.mpf(x0) + b * mp.mpf(x1)
+                                       for (a, b), x0, x1 in zip(weight, z0[:, i], z1[:, i])))
+                         for i in range(len(built))]
+                assert np.max(np.abs(built - exact)) <= 5e-15 * scale
+
+    @pytest.mark.parametrize("h", [0.025, 0.2])
+    @pytest.mark.parametrize("R", [2, 3, 8])
+    def test_parallel_step(self, R, h):
+        alphas = np.tile((np.arange(R) + 0.5) / R, (self.DRAWS, 1))
+        inc = ulmc.parallel_step_increments(h, R, alphas, 1, np.random.default_rng(31))
+        z = np.random.default_rng(31).standard_normal((2 * R, self.DRAWS))  # per cell z0, z1
+        self.assert_matches_mpmath(h, z[0::2], z[1::2], inc.W2[:, 0], inc.W3[:, 0])
+
+    @pytest.mark.parametrize("h", [0.025, 0.2])
+    def test_path_store_step(self, h):
+        store = BrownianPathStore(h, 32, self.DRAWS, 1, np.random.default_rng(32))
+        inc = store.increments(1)
+        z = np.random.default_rng(32).standard_normal((32, 2, self.DRAWS))
+        self.assert_matches_mpmath(h, z[:, 0], z[:, 1], inc.W2[0, :, 0], inc.W3[0, :, 0])
+
+
 class TestParallelIncrements:
+    def test_r1_is_step_increments_batch_bitwise(self):
+        alphas = np.concatenate([[0.0, 1.0], np.random.default_rng(76).uniform(size=7)])
+        one = step_increments_batch(0.05, alphas, 4, np.random.default_rng(77))
+        par = ulmc.parallel_step_increments(0.05, 1, alphas[:, None], 4,
+                                            np.random.default_rng(77))
+        assert par.W1.shape == (9, 1, 4)
+        for a, b in zip(par, one):
+            assert a.reshape(b.shape).tobytes() == b.tobytes()
+
     def test_r1_reproduces_serial_draws(self):
         alpha = 0.42
         one = ulmc.step_increments(0.05, alpha, 6, np.random.default_rng(77))

@@ -62,7 +62,8 @@ def split_rows(data):
 
 @pytest.fixture
 def half_threads(monkeypatch):
-    """The threads that evaluated each half of a logistic gradient, in order."""
+    """The threads that evaluated each `_margin_products` call of a logistic
+    gradient (one per half of a split batch), in order."""
     seen = []
     inner = targets._margin_products
 
@@ -146,7 +147,8 @@ class TestLogisticTarget:
             half_threads.clear()  # the minimizer's single points do not split
             thetas = rng.standard_normal((k or split_rows(data), d))
             batched = target.gradient(thetas)
-            assert len(half_threads) == (0 if k else 2)
+            # an unsplit batch is one call here, a split one a call per thread
+            assert len(half_threads) == len(set(half_threads)) == (1 if k else 2)
             rows = np.stack([target.gradient(t) for t in thetas])
             np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=atol)
 
