@@ -26,7 +26,6 @@ from .analysis import (
 from .brownian import (
     BrownianPathStore,
     IntervalStats,
-    ParallelIncrements,
     StepIncrements,
     compose,
     parallel_step_increments,

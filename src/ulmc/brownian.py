@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .errors import UlmcError
 __all__ = [
     "IntervalStats",
     "StepIncrements",
-    "ParallelIncrements",
-    "ExpEulerIncrements",
     "gh_covariance",
     "sample_interval",
     "compose",
@@ -159,29 +157,17 @@ class IntervalStats:
 
 
 class StepIncrements(NamedTuple):
-    """The three Gaussian integrals of one randomized-midpoint step.
+    """The three Gaussian integrals of one step: the one increments record.
 
     W1 = int_0^{ah} (1 - e^{-2(ah-s)}) dB_s
     W2 = int_0^{h}  (1 - e^{-2(h-s)})  dB_s
     W3 = int_0^{h}  e^{-2(h-s)}        dB_s
+
+    W2 and W3 have shape (..., d), W1 (..., d) for one midpoint, (..., R, d)
+    for R midpoints, and None for the exponential integrator.
     """
 
-    W1: np.ndarray
-    W2: np.ndarray
-    W3: np.ndarray
-
-
-class ParallelIncrements(NamedTuple):
-    """Joint increments for an R-midpoint step: W1 has shape (R, d)."""
-
-    W1: np.ndarray
-    W2: np.ndarray
-    W3: np.ndarray
-
-
-class ExpEulerIncrements(NamedTuple):
-    """(W2, W3) pair used by the frozen-gradient exponential integrator."""
-
+    W1: Optional[np.ndarray]
     W2: np.ndarray
     W3: np.ndarray
 
@@ -395,17 +381,18 @@ def step_increments_batch(h, alphas, dim, rng) -> StepIncrements:
     return StepIncrements(w1[0], w2, w3)
 
 
-def exp_euler_increments(h, dim, rng) -> ExpEulerIncrements:
-    """Sample the (W2, W3) pair for one frozen-gradient step of length h."""
-    return ExpEulerIncrements(*(w[0] for w in exp_euler_increments_batch(h, 1, dim, rng)))
+def exp_euler_increments(h, dim, rng) -> StepIncrements:
+    """Sample (None, W2, W3) for one frozen-gradient step of length h."""
+    _, w2, w3 = exp_euler_increments_batch(h, 1, dim, rng)
+    return StepIncrements(None, w2[0], w3[0])
 
 
-def exp_euler_increments_batch(h, chains, dim, rng) -> ExpEulerIncrements:
-    """exp_euler_increments for `chains` chains, as (chains, dim) arrays
-    drawn as one (2, chains, dim) block."""
+def exp_euler_increments_batch(h, chains, dim, rng) -> StepIncrements:
+    """exp_euler_increments for `chains` chains: W2 and W3 are (chains, dim)
+    arrays drawn as one (2, chains, dim) block, W1 is None."""
     _require_length(h)
     _, w2, w3 = _fresh_step(h, 1, np.empty((0, chains)), dim, rng)
-    return ExpEulerIncrements(W2=w2, W3=w3)
+    return StepIncrements(None, w2, w3)
 
 
 def _require_fractions(alphas):
@@ -423,20 +410,20 @@ def _require_cells(alphas, R):
         raise UlmcError(f"midpoint i must lie in [(i-1)/{R}, i/{R}], got {alphas}")
 
 
-def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
+def parallel_step_increments(h, R, alphas, dim, rng) -> StepIncrements:
     """Sample (W1_1..W1_R, W2, W3) jointly consistent with one path.
 
-    alpha_i must lie in its cell [(i-1)/R, i/R].  [0, h] is R equal cells;
-    one (3R, chains, dim) block is drawn, per cell its (z0, z1) normals,
-    left to right, then one normal per midpoint, which completes W1_i given
-    its cell's (H, G) (`_increments`), so R = 1 draws and builds as
-    step_increments does.  alphas has shape (R,), or (chains, R) for a
+    R is a count >= 1 (`_is_count`) and alpha_i must lie in its cell
+    [(i-1)/R, i/R].  [0, h] is R equal cells; one (3R, chains, dim) block
+    is drawn, per cell its (z0, z1) normals, left to right, then one normal
+    per midpoint, which completes W1_i given its cell's (H, G)
+    (`_increments`), so R = 1 draws and builds as step_increments does.
+    alphas has shape (R,), when W1 has shape (R, dim), or (chains, R) for a
     batch, when W1 has shape (chains, R, dim).
     """
     _require_length(h)
-    R = int(R)
-    if R < 1:
-        raise UlmcError(f"midpoint count must be >= 1, got {R}")
+    if not _is_count(R) or R < 1:
+        raise UlmcError(f"midpoint count must be an integer >= 1, got {R!r}")
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim not in (1, 2) or alphas.shape[-1] != R:
         raise UlmcError(f"expected {R} midpoints, got shape {alphas.shape}")
@@ -444,8 +431,8 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> ParallelIncrements:
     rows = np.clip(np.atleast_2d(alphas), 0.0, 1.0)
     w1, w2, w3 = _fresh_step(h, R, rows.T * R, dim, rng)
     if alphas.ndim == 1:
-        return ParallelIncrements(W1=w1[:, 0], W2=w2[0], W3=w3[0])
-    return ParallelIncrements(W1=w1.transpose(1, 0, 2), W2=w2, W3=w3)
+        return StepIncrements(W1=w1[:, 0], W2=w2[0], W3=w3[0])
+    return StepIncrements(W1=w1.transpose(1, 0, 2), W2=w2, W3=w3)
 
 
 class BrownianPathStore:

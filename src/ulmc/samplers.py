@@ -36,8 +36,6 @@ from typing import Optional
 import numpy as np
 
 from .brownian import (  # noqa: F401  (one-chain adapters stay importable here)
-    ExpEulerIncrements,
-    ParallelIncrements,
     StepIncrements,
     _is_count,
     _require_cells,
@@ -95,7 +93,7 @@ class Schedule:
     """Resolved run parameters: step size h, iterations N, u = 1/L.
 
     R is the midpoint count and K the fixed-point depth (1 and 2 for the
-    serial algorithm).
+    serial algorithm).  N, R and K are counts (`_is_count`).
     """
 
     h: float
@@ -107,14 +105,11 @@ class Schedule:
     def __post_init__(self):
         if not (0.0 < self.h <= H_MAX_SCHEDULE + 1e-12):
             raise ScheduleError(f"schedule step size must be in (0, 1/20], got {self.h}")
-        if self.N < 0:
-            raise ScheduleError(f"iteration count must be >= 0, got {self.N}")
-        if self.u <= 0.0:
-            raise ScheduleError(f"u must be positive, got {self.u}")
-        if self.R < 1:
-            raise ScheduleError(f"midpoint count must be >= 1, got {self.R}")
-        if self.K < 2:
-            raise ScheduleError(f"fixed-point depth must be >= 2, got {self.K}")
+        if not _is_count(self.N):
+            raise ScheduleError(f"iteration count must be an integer >= 0, got {self.N!r}")
+        if not (0.0 < self.u < math.inf):
+            raise ScheduleError(f"u must be positive and finite, got {self.u}")
+        _check_midpoints(self.R, self.K)
 
     @property
     def delta(self) -> float:
@@ -151,17 +146,30 @@ def _check_run(h, n_steps=0, record_every=None):
         raise ConfigError(f"record_every must be an integer >= 0, got {record_every!r}")
 
 
+def _check_midpoints(R, K):
+    """The count rule for the midpoint count R >= 1 and fixed-point depth K >= 2."""
+    if not _is_count(R) or R < 1:
+        raise ScheduleError(f"midpoint count must be an integer >= 1, got {R!r}")
+    if not _is_count(K) or K < 2:
+        raise ScheduleError(f"fixed-point depth must be an integer >= 2, got {K!r}")
+
+
 def _check_chains(chains):
     if not _is_count(chains) or chains < 1:
         raise ConfigError(f"chain count must be an integer >= 1, got {chains!r}")
 
 
-def _check_step(h, state: SamplerState, target: TargetSpec):
+def _check_step(h, state: SamplerState, target: TargetSpec, inc=None, w1_shape=None):
+    """Increments inc, when given, must fit the state: W2 and W3 its shape,
+    W1 w1_shape (None: W1 is not read)."""
     _check_run(h)
     if state.x.shape[-1] != target.dim or state.v.shape != state.x.shape:
         raise UlmcError(
             f"state dimension {state.x.shape} does not match target d={target.dim}"
         )
+    if inc is not None and ({np.shape(inc.W2), np.shape(inc.W3)} != {state.x.shape}
+                            or w1_shape is not None and np.shape(inc.W1) != w1_shape):
+        raise UlmcError("increments were generated for a different R, d or chain count")
 
 
 def rmm_step(
@@ -174,10 +182,11 @@ def rmm_step(
     """One randomized-midpoint step of length h with midpoint fraction alpha.
 
     alpha is a scalar, or one fraction per chain for a (chains, d) state.
-    inc must have been generated for the same (h, alpha).  Uses exactly two
-    gradient evaluations: at x and at the midpoint estimate.
+    inc must have been generated for the same (h, alpha), so its arrays
+    have the state's shape.  Uses exactly two gradient evaluations: at x
+    and at the midpoint estimate.
     """
-    _check_step(h, state, target)
+    _check_step(h, state, target, inc, state.x.shape)
     alpha = _require_fractions(alpha)
     u = 1.0 / target.smoothness
     ah = alpha[..., None] * h if alpha.ndim else alpha * h
@@ -358,7 +367,7 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record, path
     Chains start at x with zero velocity.  Each step takes its midpoint
     fractions (or None) and increments from fresh draws of the seed
     (`_fresh_steps`), or from the rows of path = (alphas, increments) of a
-    `BrownianPathStore` (`_path_steps`).  h, n_steps, R and the state's
+    `BrownianPathStore` (`_path_steps`).  h, n_steps, R, K and the state's
     shape are checked before any draw.  After each step the state must be
     finite; every record_every steps record(step, x, v) is called.  Returns
     the final state and the audited gradient count.
@@ -366,8 +375,7 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record, path
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     _check_run(h, n_steps, record_every)
-    if R < 1:
-        raise ScheduleError(f"midpoint count must be >= 1, got {R}")
+    _check_midpoints(R, K)
     state = SamplerState(x=x, v=np.zeros_like(x), step=0)
     _check_step(h, state, target)
     counter = GradientCounter(target)
@@ -424,11 +432,15 @@ def run_chain(
     return RunResult(final=final, grad_evals=grad_evals, history=history)
 
 
-def _check_schedule_u(sched: Schedule, target: TargetSpec):
-    """The steppers read u = 1/L from the target; the schedule must agree."""
+def _check_schedule(sched: Schedule, target: TargetSpec, serial=True):
+    """The steppers read u = 1/L from the target, so the schedule must agree;
+    a serial run has one midpoint and no fixed-point sweep, R = 1 and K = 2."""
     u = 1.0 / target.smoothness
     if abs(sched.u - u) > 1e-12 * u:
         raise ConfigError(f"schedule u={sched.u!r} differs from 1/L={u!r} of the target")
+    if serial and (sched.R, sched.K) != (1, 2):
+        raise ConfigError(f"a serial rmm run takes R = 1 and K = 2, got R={sched.R}, "
+                          f"K={sched.K}; parallel_rmm_run runs R midpoints")
 
 
 def rmm_run(
@@ -439,7 +451,7 @@ def rmm_run(
     record_every: Optional[int] = None,
 ) -> RunResult:
     """Run one randomized-midpoint chain under a resolved schedule."""
-    _check_schedule_u(sched, target)
+    _check_schedule(sched, target)
     return run_chain(target, "rmm", sched.h, sched.N, seed, x0=x0, record_every=record_every)
 
 
@@ -458,7 +470,7 @@ def rmm_run_ensemble(
     Records empirical (x, v) moments, not states, every record_every steps
     when requested.
     """
-    _check_schedule_u(sched, target)
+    _check_schedule(sched, target)
     _check_chains(chains)
     result = EnsembleResult(x=None, v=None, grad_evals=0)
 
@@ -497,7 +509,7 @@ def parallel_rmm_step(
     R: int,
     K: int,
     alphas,
-    incs: ParallelIncrements,
+    incs: StepIncrements,
 ) -> SamplerState:
     """One R-midpoint step: K-1 fixed-point sweeps, then the combined update.
 
@@ -505,21 +517,17 @@ def parallel_rmm_step(
     of every chain (one batched oracle call on a (chains * R, d) array, so
     the sweep parallelizes); the final update spends R more evaluations,
     R*K per chain in total.  alphas has shape (R,), or (chains, R) for a
-    (chains, d) state, alpha_i in its cell [(i-1)/R, i/R].  With R=1, K=2
-    this reproduces rmm_step exactly given the same underlying draws.
+    (chains, d) state, alpha_i in its cell [(i-1)/R, i/R], and incs.W1 one
+    more axis of R.  R >= 1 and K >= 2 are counts (`_is_count`).  With
+    R=1, K=2 this reproduces rmm_step exactly given the same draws.
     """
-    _check_step(h, state, target)
-    R = int(R)
-    K = int(K)
-    if K < 2:
-        raise ScheduleError(f"fixed-point depth must be >= 2, got {K}")
+    _check_midpoints(R, K)
+    _check_step(h, state, target, incs, state.x.shape[:-1] + (R, target.dim))
     x, v = state.x, state.v
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != x.shape[:-1] + (R,):
         raise UlmcError(f"expected {R} midpoint fractions, got {alphas.shape}")
     _require_cells(alphas, R)
-    if incs.W1.shape != x.shape[:-1] + (R, target.dim):
-        raise UlmcError("increments were generated for a different R or d")
 
     u = 1.0 / target.smoothness
     delta = h / R
@@ -555,7 +563,7 @@ def parallel_rmm_run(
     x0=None,
 ) -> RunResult:
     """Run one R-midpoint chain; alpha_i are drawn per cell, then increments."""
-    _check_schedule_u(sched, target)
+    _check_schedule(sched, target, serial=False)
     return run_chain(
         target, "rmm_parallel", sched.h, sched.N, seed, R=sched.R, K=sched.K, x0=x0
     )
@@ -586,13 +594,14 @@ def exp_euler_coefficients(h):
 
 
 def exponential_euler_uld_step(
-    state: SamplerState, target: TargetSpec, h, inc: ExpEulerIncrements
+    state: SamplerState, target: TargetSpec, h, inc: StepIncrements
 ) -> SamplerState:
     """Exponential integrator holding the gradient at the step start.
 
-    One gradient evaluation; the linear kernel is integrated exactly.
+    One gradient evaluation; the linear kernel is integrated exactly.  inc.W1
+    is not read (None from exp_euler_increments).
     """
-    _check_step(h, state, target)
+    _check_step(h, state, target, inc)
     u = 1.0 / target.smoothness
     w_x, w_v = exp_euler_coefficients(h)
     grad = target.gradient(state.x)

@@ -661,6 +661,19 @@ class TestStationaryStudy:
      ConfigError),
     (lambda t: ulmc.coupled_error_experiment(t, [0.1], 1.0, 0, reference_refinement=40.0),
      ConfigError),
+    (lambda t: ulmc.run_chain(t, "rmm_parallel", 0.05, 3, 0, R=2, K=2.7), ScheduleError),
+    (lambda t: ulmc.run_chain(t, "rmm_parallel", 0.05, 3, 0, R=2.5), ScheduleError),
+    (lambda t: ulmc.run_chain(t, "rmm_parallel", 0.05, 3, 0, R=True), ScheduleError),
+    (lambda t: Schedule(0.05, 3, 0.25, K=2.5), ScheduleError),
+    (lambda t: Schedule(0.05, 2.5, 0.25), ScheduleError),
+    (lambda t: Schedule(0.05, 3, math.nan), ScheduleError),
+    (lambda t: ulmc.parallel_step_increments(0.05, 2.7, [0.25, 0.75], 2,
+                                             np.random.default_rng(0)), UlmcError),
+    (lambda t: ulmc.rmm_run(t, Schedule(0.05, 3, 0.25, R=3, K=4), 0), ConfigError),
+    (lambda t: ulmc.rmm_run_ensemble(t, Schedule(0.05, 3, 0.25, R=3, K=4), 2, 0),
+     ConfigError),
+    (lambda t: ulmc.stationary_error_study(t, Schedule(0.05, 3, 0.25, R=3, K=4), 2, 0),
+     ConfigError),
 ], ids=["oracle n_steps < 0", "oracle h = 0", "oracle h < 0", "oracle h nan",
         "oracle record_every < 0", "run_chain record_every < 0", "moments t nan",
         "moments t inf", "contraction t nan", "coupled no methods",
@@ -669,7 +682,10 @@ class TestStationaryStudy:
         "run_chain n_steps bool", "moments x0 of d = 3", "moments v0 of d = 1",
         "oracle x0 of d = 3", "ensemble chains 2.5", "ensemble chains bool",
         "study chains 2.5", "coupled chains 2.5", "coupled chains bool",
-        "coupled refinement 32.5", "coupled refinement 40.0"])
+        "coupled refinement 32.5", "coupled refinement 40.0", "run_chain K 2.7",
+        "run_chain R 2.5", "run_chain R bool", "schedule K 2.5", "schedule N 2.5",
+        "schedule u nan", "parallel increments R 2.7", "rmm_run R 3 K 4",
+        "ensemble R 3 K 4", "study R 3 K 4"])
 def test_oracles_and_runs_reject_what_the_samplers_reject(call, error):
     target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
     with pytest.raises(error):

@@ -317,6 +317,7 @@ class TestSampleDriver:
         assert threading.active_count() == threads
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         out = tmp_path / "samples.csv"
         code = run_cli(

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import ulmc
 from ulmc import ConfigError, SamplerState, Schedule, ScheduleError
-from ulmc.brownian import ExpEulerIncrements, StepIncrements
+from ulmc.brownian import StepIncrements
 from ulmc.samplers import (
     exp_euler_coefficients,
     midpoint_coefficient,
@@ -102,6 +102,22 @@ class TestRmmStep:
         state = SamplerState(np.zeros(3), np.zeros(3))
         with pytest.raises(ulmc.UlmcError):
             ulmc.rmm_step(state, target, 0.05, 0.5, zero_increments(3))
+
+    @pytest.mark.parametrize("step, w1, w23", [
+        ("rmm", (3, 2), (2,)), ("rmm", None, (2,)), ("rmm", (2,), (3, 2)),
+        ("exp_euler_uld", None, (3, 2)),
+    ], ids=["rmm W1 of R = 3", "rmm W1 None", "rmm W2 of 3 chains", "exp_euler W2 of 3 chains"])
+    def test_rejects_increments_of_another_step(self, step, w1, w23):
+        # a (3, d) array would otherwise broadcast one chain into three
+        target = ulmc.quadratic_target([1.0, 2.0], [0.0, 0.0])
+        state = SamplerState(np.zeros(2), np.zeros(2))
+        inc = StepIncrements(None if w1 is None else np.zeros(w1), np.zeros(w23),
+                             np.zeros(w23))
+        with pytest.raises(ulmc.UlmcError, match="different R"):
+            if step == "rmm":
+                ulmc.rmm_step(state, target, 0.05, 0.5, inc)
+            else:
+                ulmc.exponential_euler_uld_step(state, target, 0.05, inc)
 
 
 class TestRmmRun:
@@ -205,7 +221,7 @@ class TestParallelStep:
         v = np.array([-0.4, 1.2])
         h, r, k = 0.05, 3, 4
         alphas = (np.arange(r) + 0.5) / r
-        incs = ulmc.ParallelIncrements(
+        incs = ulmc.StepIncrements(
             W1=np.zeros((r, 2)), W2=np.zeros(2), W3=np.zeros(2)
         )
         out = ulmc.parallel_rmm_step(SamplerState(x, v), target, h, r, k, alphas, incs)
@@ -228,7 +244,7 @@ class TestParallelStep:
     def test_rejects_shallow_fixed_point(self):
         target = ulmc.quadratic_target([1.0], [0.0])
         state = SamplerState(np.zeros(1), np.zeros(1))
-        incs = ulmc.ParallelIncrements(
+        incs = ulmc.StepIncrements(
             W1=np.zeros((1, 1)), W2=np.zeros(1), W3=np.zeros(1)
         )
         with pytest.raises(ScheduleError):
@@ -239,7 +255,7 @@ class TestParallelStep:
         # a nan fraction would otherwise step to a nan state without an error
         target = ulmc.quadratic_target([1.0], [0.0])
         state = SamplerState(np.zeros(1), np.zeros(1))
-        incs = ulmc.ParallelIncrements(W1=np.zeros((2, 1)), W2=np.zeros(1), W3=np.zeros(1))
+        incs = ulmc.StepIncrements(W1=np.zeros((2, 1)), W2=np.zeros(1), W3=np.zeros(1))
         with pytest.raises(ulmc.UlmcError, match="must lie in"):
             ulmc.parallel_rmm_step(state, target, 0.05, 2, 2, alphas, incs)
 
@@ -331,7 +347,7 @@ class TestBaselines:
             SamplerState(x, v),
             target,
             h,
-            ExpEulerIncrements(W2=np.zeros(2), W3=np.zeros(2)),
+            StepIncrements(W1=None, W2=np.zeros(2), W3=np.zeros(2)),
         )
         rm = ulmc.rmm_step(SamplerState(x, v), target, h, 0.3, zero_increments(2))
         np.testing.assert_allclose(ee.x, rm.x, rtol=1e-15)
@@ -344,7 +360,7 @@ class TestBaselines:
             SamplerState(np.zeros(2), np.zeros(2)),
             counter.wrapped(),
             0.05,
-            ExpEulerIncrements(W2=np.zeros(2), W3=np.zeros(2)),
+            StepIncrements(W1=None, W2=np.zeros(2), W3=np.zeros(2)),
         )
         assert counter.count == 1
 
@@ -384,10 +400,10 @@ class TestBaselines:
         rm = ulmc.rmm_step(SamplerState(x, v), target, h, 0.8, zero_increments(2))
         ee = ulmc.exponential_euler_uld_step(
             SamplerState(x, v), target, h,
-            ExpEulerIncrements(W2=np.zeros(2), W3=np.zeros(2)),
+            StepIncrements(W1=None, W2=np.zeros(2), W3=np.zeros(2)),
         )
         alphas = np.array([0.05, 0.5, 0.95])
-        incs = ulmc.ParallelIncrements(W1=np.zeros((3, 2)), W2=np.zeros(2), W3=np.zeros(2))
+        incs = ulmc.StepIncrements(W1=np.zeros((3, 2)), W2=np.zeros(2), W3=np.zeros(2))
         par = ulmc.parallel_rmm_step(SamplerState(x, v), target, h, 3, 3, alphas, incs)
         for out in (ee, par):
             np.testing.assert_allclose(out.x, rm.x, rtol=1e-14)
@@ -591,6 +607,7 @@ class TestOneDriver:
         assert result.grad_evals == chains * r * k * n
         assert set(shapes) == {(chains * r, 2)}
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_raises_naming_method_and_step(self):
         target = ulmc.quadratic_target([1.0, 40.0], [0.0, 0.0])
         with pytest.raises(ulmc.UlmcError, match=r"lmc .* not finite after step \d+"):
@@ -683,11 +700,23 @@ class TestDrawThread:
         assert threading.active_count() == threads
         return caught.value
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence(self):
         target = ulmc.quadratic_target([1.0, 40.0], [0.0, 0.0])
         err = self.run_and_catch(
             lambda: run_chain(target, "lmc", 0.9, 400, seed=0, x0=np.zeros((2, 2))))
         assert isinstance(err, ulmc.UlmcError) and "not finite" in str(err)
+
+    @pytest.mark.parametrize("R, K", [(0, 2), (2.5, 2), (True, 2), (2, 1), (2, 2.7)])
+    def test_bad_counts_raise_before_any_draw(self, R, K, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("the draw thread was set up")
+
+        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        err = self.run_and_catch(
+            lambda: run_chain(target, "rmm_parallel", 0.05, 3, seed=0, R=R, K=K))
+        assert isinstance(err, ScheduleError)
 
     @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
     def test_gradient_error(self, method):
