@@ -131,6 +131,8 @@ def _w2_distances(means1, covs1, mean2, cov2):
     k, d = covs1.shape[:2]
     if means1.shape != (k, d) or mean2.shape != (d,) or cov2.shape != (d, d):
         raise UlmcError(f"means and covariances must share one dimension, cov1 has d={d}")
+    if not (np.isfinite(means1).all() and np.isfinite(mean2).all()):
+        raise UlmcError("means must be finite")
     vals, vecs = np.linalg.eigh(cov2)
     root2 = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     cross = np.linalg.eigvalsh(root2 @ covs1 @ root2)  # ascending
@@ -216,10 +218,13 @@ def _require_quadratic(target: TargetSpec):
 
 
 def _require_point(value, target: TargetSpec, name):
-    """value as a (d,) float array; UlmcError naming d for any other shape."""
+    """value as a (d,) float array of finite entries; UlmcError naming d for
+    any other shape."""
     point = np.asarray(value, dtype=float)
     if point.shape != (target.dim,):
         raise UlmcError(f"{name} shape {point.shape} does not match target d={target.dim}")
+    if not np.isfinite(point).all():
+        raise UlmcError(f"{name} must be finite, got {point}")
     return point
 
 
@@ -398,8 +403,8 @@ def contraction_check(target: TargetSpec, t: float, delta_x0, delta_v0) -> Contr
         raise UlmcError(f"time must be finite and positive, got {t}")
     diag, _ = _require_quadratic(target)
     u = 1.0 / target.smoothness
-    dx = np.asarray(delta_x0, dtype=float)
-    dv = np.asarray(delta_v0, dtype=float)
+    dx = _require_point(delta_x0, target, "delta_x0")
+    dv = _require_point(delta_v0, target, "delta_v0")
     bound = math.exp(-t / target.kappa)
     denom = float(np.sum(dx**2) + np.sum((dx + dv) ** 2))
     if denom == 0.0:

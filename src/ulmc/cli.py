@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_target(p)
     p.add_argument("--method", choices=METHODS, default="rmm")
-    p.add_argument("--epsilon", type=float, help="accuracy target; derives h and N")
+    p.add_argument("--epsilon", type=float, help="accuracy target; derives h and N (and R, K)")
     p.add_argument("--h", type=float, help="explicit step size")
     p.add_argument("--n-steps", type=int, help="explicit iteration count")
     p.add_argument("--r-midpoints", type=int, default=1)
@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-const", type=float, default=0.5)
     p.add_argument("--parallel", action="store_true", help="use the R-midpoint rule")
     p.add_argument("--c-r", type=float, default=1.0)
-    p.add_argument("--c-k", type=float, default=3.0)
     return parser
 
 
@@ -204,16 +203,15 @@ def cmd_sample(args) -> int:
     if explicit != (0 if args.epsilon is not None else 2):
         raise ConfigError("give --epsilon alone or both --h and --n-steps "
                           "(flags and config keys count together)")
-    if args.epsilon is not None and args.method == "rmm_parallel":
-        # --epsilon derives the serial rule's (h, N) only
-        raise ConfigError("--epsilon does not set R and K for rmm_parallel: take h, R, K "
-                          "and N from `ulmc schedule --parallel` and pass them as --h, "
-                          "--r-midpoints, --k-iters and --n-steps")
+    if args.epsilon is not None and (args.r_midpoints, args.k_iters) != (1, 2):
+        raise ConfigError("--epsilon sets R and K: give it without --r-midpoints and --k-iters")
     _check_chains(args.chains)
     target = _make_target(args)
     if args.epsilon is not None:
-        sched = schedule(args.epsilon, target.kappa, C=args.c_const, L=target.smoothness)
+        rule = schedule_parallel if args.method == "rmm_parallel" else schedule
+        sched = rule(args.epsilon, target.kappa, C=args.c_const, L=target.smoothness)
         h, n_steps = sched.h, sched.N
+        args.r_midpoints, args.k_iters = sched.R, sched.K  # the config line shows them
     else:
         h, n_steps = args.h, args.n_steps
 
@@ -274,15 +272,12 @@ def cmd_schedule(args) -> int:
     if missing:
         raise ConfigError(f"schedule needs {' and '.join(missing)}, as a flag or config key")
     if args.parallel:
-        sched = schedule_parallel(args.epsilon, args.kappa, C=args.c_const,
-                                  c_R=args.c_r, c_K=args.c_k)
-        payload = {"h": sched.h, "R": sched.R, "K": sched.K, "N": sched.N}
+        sched = schedule_parallel(args.epsilon, args.kappa, C=args.c_const, c_R=args.c_r)
     else:
         sched = schedule(args.epsilon, args.kappa, C=args.c_const)
-        payload = {"h": sched.h, "N": sched.N}
-    text = json.dumps(payload, sort_keys=True)
+    keys = ("h", "R", "K", "N") if args.parallel else ("h", "N")
     with _open_out(args) as fh:
-        fh.write(text + "\n")
+        fh.write(json.dumps({key: getattr(sched, key) for key in keys}, sort_keys=True) + "\n")
     return 0
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .brownian import (  # noqa: F401  (one-chain adapters stay importable here)
     StepIncrements,
+    _exp_tail,
     _is_count,
     _require_cells,
     _require_fractions,
@@ -368,9 +369,10 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record, path
     fractions (or None) and increments from fresh draws of the seed
     (`_fresh_steps`), or from the rows of path = (alphas, increments) of a
     `BrownianPathStore` (`_path_steps`).  h, n_steps, R, K and the state's
-    shape are checked before any draw.  After each step the state must be
-    finite; every record_every steps record(step, x, v) is called.  Returns
-    the final state and the audited gradient count.
+    shape are checked, and the start must be finite, before any draw.  After
+    each step the state must be finite; every record_every steps
+    record(step, x, v) is called.  Returns the final state and the audited
+    gradient count.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -378,6 +380,8 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record, path
     _check_midpoints(R, K)
     state = SamplerState(x=x, v=np.zeros_like(x), step=0)
     _check_step(h, state, target)
+    if not np.isfinite(x).all():
+        raise UlmcError(f"{method} chain start is not finite")
     counter = GradientCounter(target)
     counted = counter.wrapped()
     steps = _path_steps(*path) if path else _fresh_steps(method, h, n_steps, seed, *x.shape, R)
@@ -468,10 +472,12 @@ def rmm_run_ensemble(
     The same run as run_chain(target, "rmm", ...) from `chains` copies of
     the start: each step draws for the whole ensemble from one stream.
     Records empirical (x, v) moments, not states, every record_every steps
-    when requested.
+    when requested, which takes two chains or more.
     """
     _check_schedule(sched, target)
     _check_chains(chains)
+    if record_every and chains < 2:
+        raise ConfigError(f"moment checkpoints need two chains or more, got {chains}")
     result = EnsembleResult(x=None, v=None, grad_evals=0)
 
     def record(step, x, v):
@@ -588,9 +594,8 @@ def exp_euler_coefficients(h):
 
     Closed forms of int_0^h (1 - e^{-2(h-s)}) ds and int_0^h e^{-2(h-s)} ds.
     """
-    w_x = h - 0.5 * (1.0 - math.exp(-2.0 * h))
     w_v = 0.5 * (1.0 - math.exp(-2.0 * h))
-    return w_x, w_v
+    return h - w_v, w_v
 
 
 def exponential_euler_uld_step(
@@ -623,7 +628,7 @@ def schedule(epsilon, kappa, C=0.5, L=1.0) -> Schedule:
                 eps^{2/3} log^{-1/3}(1/eps^2)),
     clipped to 1/20, and N = ceil((2 kappa / h) log(20 / eps^2)).
     """
-    _check_schedule_inputs(epsilon, kappa, C, L)
+    _check_schedule_inputs(epsilon, kappa, C=C, L=L)
     log_term = math.log(1.0 / epsilon**2)
     h = C * min(
         epsilon ** (1.0 / 3.0) * kappa ** (-1.0 / 6.0) * log_term ** (-1.0 / 6.0),
@@ -634,31 +639,38 @@ def schedule(epsilon, kappa, C=0.5, L=1.0) -> Schedule:
     return Schedule(h=h, N=N, u=1.0 / L)
 
 
-def schedule_parallel(epsilon, kappa, C=0.5, L=1.0, c_R=1.0, c_K=3.0) -> Schedule:
+def schedule_parallel(epsilon, kappa, C=0.5, L=1.0, c_R=1.0) -> Schedule:
     """Constant-step parallel schedule: R midpoints absorb the accuracy.
 
     h = min(C, 1/20) (which also guarantees (R * h/R)^4 <= 1/4),
     R = max(1, ceil(c_R sqrt(kappa)/eps log(1/eps))),
-    K = max(2, ceil(c_K log(1/delta^4))) with delta = h/R,
+    K = max(2, 1 + ceil(ln tol / ln rho(h))) with tol = max(delta^4, 2^-53),
+    delta = h/R and rho(h) = (h - (1 - e^{-2h})/2)/2 = E_2(-2h)/4,
     N = ceil((2 kappa / h) log(20 / eps^2)).
+
+    K - 1 fixed-point sweeps shrink the midpoint estimates' error below tol
+    times its start.  A sweep maps the estimates e to base - u/2 C grad f(e),
+    where row i of the lower-triangular C (`midpoint_coefficient`) sums to
+    tau_i - (1 - e^{-2 tau_i})/2 <= h - (1 - e^{-2h})/2.  With uL = 1 each
+    sweep is therefore a rho(h)-contraction in the max-over-midpoints norm,
+    rho(1/20) = 1.21e-3.  The bound rests on the declared L: an understated
+    L understates K.  rho is taken through `_exp_tail`, so it stays exact
+    at small h.
     """
-    _check_schedule_inputs(epsilon, kappa, C, L)
-    if not (0.0 < c_R < math.inf and 0.0 < c_K < math.inf):
-        raise ScheduleError("schedule constants must be finite and positive")
+    _check_schedule_inputs(epsilon, kappa, C=C, L=L, c_R=c_R)
     h = min(C, H_MAX_SCHEDULE)
     R = max(1, math.ceil(c_R * math.sqrt(kappa) / epsilon * math.log(1.0 / epsilon)))
-    delta = h / R
-    K = max(2, math.ceil(c_K * math.log(1.0 / delta**4)))
+    tol = max((h / R) ** 4, 2.0**-53)
+    K = max(2, 1 + math.ceil(math.log(tol) / math.log(_exp_tail(-2.0 * h, 2) / 4.0)))
     N = math.ceil(2.0 * kappa / h * math.log(20.0 / epsilon**2))
     return Schedule(h=h, N=N, u=1.0 / L, R=R, K=K)
 
 
-def _check_schedule_inputs(epsilon, kappa, C, L):
+def _check_schedule_inputs(epsilon, kappa, **constants):
     if not (0.0 < epsilon < 1.0):
         raise ScheduleError(f"epsilon must be in (0, 1), got {epsilon}")
     if not (1.0 <= kappa < math.inf):
         raise ScheduleError(f"kappa must be finite and >= 1, got {kappa}")
-    if not (0.0 < C < math.inf):
-        raise ScheduleError(f"C must be finite and positive, got {C}")
-    if not (0.0 < L < math.inf):
-        raise ScheduleError(f"L must be finite and positive, got {L}")
+    for name, value in constants.items():
+        if not (0.0 < value < math.inf):
+            raise ScheduleError(f"{name} must be finite and positive, got {value}")

@@ -674,6 +674,15 @@ class TestStationaryStudy:
      ConfigError),
     (lambda t: ulmc.stationary_error_study(t, Schedule(0.05, 3, 0.25, R=3, K=4), 2, 0),
      ConfigError),
+    (lambda t: ulmc.rmm_moment_oracle(t, 0.05, 3, x0=[math.nan, 0.0]), UlmcError),
+    (lambda t: ulmc.exact_uld_moments(t, 1.0, [math.nan, 0.0], [0.0, 0.0]), UlmcError),
+    (lambda t: ulmc.exact_uld_moments(t, 1.0, [0.0, 0.0], [0.0, math.inf]), UlmcError),
+    (lambda t: ulmc.contraction_check(t, 1.0, [math.nan, 0.0], [0.0, 0.0]), UlmcError),
+    (lambda t: ulmc.contraction_check(t, 1.0, [1.0, 0.0], [0.0, math.nan]), UlmcError),
+    (lambda t: ulmc.gaussian_w2([math.nan, 0.0], np.eye(2), [0.0, 0.0], np.eye(2)),
+     UlmcError),
+    (lambda t: ulmc.gaussian_w2([0.0, 0.0], np.eye(2), [0.0, math.inf], np.eye(2)),
+     UlmcError),
 ], ids=["oracle n_steps < 0", "oracle h = 0", "oracle h < 0", "oracle h nan",
         "oracle record_every < 0", "run_chain record_every < 0", "moments t nan",
         "moments t inf", "contraction t nan", "coupled no methods",
@@ -685,7 +694,9 @@ class TestStationaryStudy:
         "coupled refinement 32.5", "coupled refinement 40.0", "run_chain K 2.7",
         "run_chain R 2.5", "run_chain R bool", "schedule K 2.5", "schedule N 2.5",
         "schedule u nan", "parallel increments R 2.7", "rmm_run R 3 K 4",
-        "ensemble R 3 K 4", "study R 3 K 4"])
+        "ensemble R 3 K 4", "study R 3 K 4", "oracle x0 nan", "moments x0 nan",
+        "moments v0 inf", "contraction dx nan", "contraction dv nan", "w2 mean1 nan",
+        "w2 mean2 inf"])
 def test_oracles_and_runs_reject_what_the_samplers_reject(call, error):
     target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
     with pytest.raises(error):

@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, formats, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import ulmc
-from ulmc.cli import main
+from ulmc.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -100,11 +101,31 @@ class TestSampleCommand:
         assert "--epsilon alone" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_epsilon_does_not_schedule_the_parallel_method(self, tmp_path, capsys):
+    def test_epsilon_schedules_the_parallel_method(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run_cli("sample", "--quad-diag", "1,4", "--method", "rmm_parallel",
-                       "--epsilon", "0.5", "--chains", "2", "--out", str(out)) == 2
-        assert "ulmc schedule --parallel" in capsys.readouterr().err
+                       "--epsilon", "0.5", "--chains", "2", "--out", str(out)) == 0
+        sched = ulmc.schedule_parallel(0.5, 4.0, L=4.0)
+        assert (sched.h, sched.N, sched.R, sched.K) == (0.05, 702, 3, 4)
+        lines = out.read_text().splitlines()
+        config = json.loads(lines[1].removeprefix("# config "))
+        assert (config["r_midpoints"], config["k_iters"]) == (sched.R, sched.K)
+        assert f"h={sched.h!r} n_steps={sched.N} " in lines[2]
+        assert lines[2].endswith(f" grad_evals={2 * sched.N * sched.R * sched.K}")
+
+    @pytest.mark.parametrize("flags, config", [
+        (("--k-iters", "3"), {}),
+        (("--r-midpoints", "4"), {}),
+        ((), {"k-iters": 3}),
+    ], ids=["k-iters", "r-midpoints", "config k-iters"])
+    @pytest.mark.parametrize("method", ["rmm_parallel", "rmm"])
+    def test_epsilon_with_explicit_midpoints_is_config_error(self, method, flags, config,
+                                                             tmp_path, capsys):
+        cfg, out = tmp_path / "run.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("sample", "--config", str(cfg), "--quad-diag", "1,4", "--method",
+                       method, "--epsilon", "0.5", *flags, "--out", str(out)) == 2
+        assert "--epsilon sets R and K" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_dataset_file_is_runtime_error(self, tmp_path):
@@ -135,6 +156,20 @@ class TestScheduleCommand:
         assert payload["K"] >= 2
         assert set(payload) == {"h", "N", "R", "K"}
 
+    def test_parallel_json_takes_the_derived_depth(self, capsys):
+        assert run_cli("schedule", "--epsilon", "0.1", "--kappa", "100", "--parallel") == 0
+        assert capsys.readouterr().out == '{"K": 7, "N": 30404, "R": 231, "h": 0.05}\n'
+
+    def test_sweep_constant_is_gone(self, tmp_path, capsys):
+        flags = ("--epsilon", "0.1", "--kappa", "100", "--parallel")
+        with pytest.raises(SystemExit) as exited:
+            run_cli("schedule", *flags, "--c-k", "3")
+        assert exited.value.code == 2
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"c_k": 3.0}))
+        assert run_cli("schedule", "--config", str(cfg), *flags) == 2
+        assert "c_k" in capsys.readouterr().err
+
     def test_invalid_epsilon_is_config_error(self, capsys):
         assert run_cli("schedule", "--epsilon", "1.5", "--kappa", "1") == 2
 
@@ -163,6 +198,41 @@ class TestScheduleCommand:
         assert run_cli("schedule") == 2
         err = capsys.readouterr().err
         assert "--epsilon and --kappa" in err
+
+
+# A second value for every setting of the schedule rules; base values for
+# the ones without a default.  --c-const acts in the parallel rule only below
+# h = 1/20, hence 0.01.
+SCHEDULE_BASE = {"epsilon": 0.1, "kappa": 100.0}
+SCHEDULE_SECOND = {"epsilon": 0.2, "kappa": 50.0, "C": 0.01, "L": 2.0, "c_R": 2.0}
+SCHEDULE_FLAG_SECOND = {"epsilon": "0.2", "kappa": "50", "c_const": "0.01", "c_r": "2"}
+
+
+@pytest.mark.parametrize("rule", [ulmc.schedule, ulmc.schedule_parallel])
+def test_every_schedule_keyword_changes_the_schedule(rule):
+    base = rule(**SCHEDULE_BASE)
+    for name in inspect.signature(rule).parameters:
+        changed = rule(**{**SCHEDULE_BASE, name: SCHEDULE_SECOND[name]})
+        assert changed != base, name
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_every_schedule_flag_changes_the_output(parallel, capsys):
+    def output(**values):
+        flags = [tok for dest, value in {**SCHEDULE_BASE, **values}.items()
+                 for tok in (f"--{dest.replace('_', '-')}", str(value))]
+        assert run_cli("schedule", *flags, *(["--parallel"] if parallel else [])) == 0
+        return capsys.readouterr().out
+
+    sub = build_parser()._subparsers._group_actions[0].choices["schedule"]
+    dests = {a.dest for a in sub._actions if a.option_strings}
+    dests -= {"help", "config", "out", "parallel"}
+    assert dests == set(SCHEDULE_FLAG_SECOND)
+    base = output()
+    for dest in sorted(dests):
+        if dest == "c_r" and not parallel:
+            continue  # the midpoint constant is a setting of the parallel rule only
+        assert output(**{dest: SCHEDULE_FLAG_SECOND[dest]}) != base, dest
 
 
 class TestConvergenceCommand:

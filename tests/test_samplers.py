@@ -35,6 +35,29 @@ def zero_increments(d):
     return StepIncrements(W1=np.zeros(d), W2=np.zeros(d), W3=np.zeros(d))
 
 
+def derived_depth(h, R):
+    """schedule_parallel's sweep count: K - 1 sweeps, each a rho(h)-contraction,
+    bring the error below tol = max((h/R)^4, 2^-53)."""
+    rho = 0.5 * (h - 0.5 * -math.expm1(-2.0 * h))
+    tol = max((h / R) ** 4, 2.0**-53)
+    return max(2, 1 + math.ceil(math.log(tol) / math.log(rho)))
+
+
+def seeded_logistic_target():
+    """A seeded 200 x 5 ridge-logistic posterior."""
+    rng = np.random.default_rng(200)
+    features = rng.standard_normal((200, 5))
+    w_true = rng.standard_normal(5)
+    labels = np.where(features @ w_true + 0.3 * rng.standard_normal(200) > 0, 1.0, -1.0)
+    return ulmc.logistic_target(ulmc.Dataset(features=features, labels=labels), 1e-2)
+
+
+K_DEPTH_TARGETS = {
+    "quadratic": lambda: ulmc.quadratic_target([1.0, 30.0, 100.0], [0.0, 0.0, 0.0]),
+    "logistic": seeded_logistic_target,
+}
+
+
 class FixedRng:
     """Deterministic stand-in drawing zeros, for noiseless stepper checks."""
 
@@ -450,7 +473,42 @@ class TestSchedules:
         sched = ulmc.schedule_parallel(0.5, 1.0, c_R=1.0)
         assert sched.R == math.ceil(2 * math.log(2)) == 2
         assert sched.h <= (0.25) ** 0.25
-        assert sched.K == max(2, math.ceil(3.0 * math.log(1.0 / sched.delta**4)))
+        rho = 0.5 * (sched.h - 0.5 * (1.0 - math.exp(-2.0 * sched.h)))
+        tol = max(sched.delta**4, 2.0**-53)
+        assert sched.K == max(2, 1 + math.ceil(math.log(tol) / math.log(rho))) == 4
+        assert sched.K == derived_depth(sched.h, sched.R)
+        # (kappa, epsilon) -> (R, K, N) from kappa 4 to 1e4
+        for (kappa, eps), (R, K, N) in {
+            (4.0, 0.5): (3, 4, 702),
+            (100.0, 0.1): (231, 7, 30404),
+            (100.0, 0.01): (4606, 7, 48825),
+            (1e4, 1e-3): (690776, 7, 6724498),
+        }.items():
+            par = ulmc.schedule_parallel(eps, kappa)
+            assert (par.R, par.K, par.N) == (R, K, N)
+            assert par.K == derived_depth(par.h, par.R)
+
+    @pytest.mark.parametrize("target_name", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("h, R", [(0.05, 3), (0.05, 231), (0.5, 3), (0.5, 14),
+                                      (0.99, 3), (0.001, 10)])
+    def test_derived_depth_reaches_the_fixed_point(self, target_name, h, R):
+        # the derived K against K = 80, from 20 chains 3 units off the mode;
+        # (0.001, 10) has tol = 2^-53, where the two steps must agree exactly
+        target = K_DEPTH_TARGETS[target_name]()
+        rng = np.random.default_rng(21)
+        d = target.dim
+        dirs = rng.standard_normal((20, d))
+        x = target.minimizer + 3.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        state = SamplerState(x, rng.standard_normal((20, d)) / math.sqrt(target.smoothness))
+        alphas = (np.arange(R) + rng.random((20, R))) / R
+        incs = ulmc.parallel_step_increments(h, R, alphas, d, rng)
+        derived = ulmc.parallel_rmm_step(state, target, h, R, derived_depth(h, R), alphas, incs)
+        deep = ulmc.parallel_rmm_step(state, target, h, R, 80, alphas, incs)
+        gap = max(np.abs(derived.x - deep.x).max(), np.abs(derived.v - deep.v).max())
+        tol = max((h / R) ** 4, 2.0**-53)
+        assert gap <= tol * max(1.0, np.abs(deep.x).max(), np.abs(deep.v).max())
+        if tol == 2.0**-53:
+            assert gap == 0.0
 
     def test_parallel_rule_degenerates_to_single_midpoint(self):
         sched = ulmc.schedule_parallel(0.9, 1.0, c_R=1.0)
@@ -472,8 +530,6 @@ class TestSchedules:
         for bad in (math.nan, math.inf, 0.0):
             with pytest.raises(ScheduleError, match="finite"):
                 ulmc.schedule_parallel(0.5, 2.0, c_R=bad)
-            with pytest.raises(ScheduleError, match="finite"):
-                ulmc.schedule_parallel(0.5, 2.0, c_K=bad)
         with pytest.raises(ScheduleError):
             Schedule(h=0.2, N=1, u=1.0)
 
@@ -717,6 +773,21 @@ class TestDrawThread:
         err = self.run_and_catch(
             lambda: run_chain(target, "rmm_parallel", 0.05, 3, seed=0, R=R, K=K))
         assert isinstance(err, ScheduleError)
+
+    @pytest.mark.parametrize("run, error, message", [
+        (lambda t: run_chain(t, "rmm", 0.05, 3, seed=0, x0=[math.nan, 0.0]),
+         ulmc.UlmcError, "start is not finite"),
+        (lambda t: ulmc.rmm_run_ensemble(t, Schedule(0.05, 4, 0.25), 1, 0, record_every=2),
+         ConfigError, "two chains"),
+    ], ids=["non-finite start", "one-chain checkpoints"])
+    def test_bad_inputs_raise_before_any_draw(self, run, error, message, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("the draw thread was set up")
+
+        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        err = self.run_and_catch(lambda: run(target))
+        assert isinstance(err, error) and message in str(err)
 
     @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
     def test_gradient_error(self, method):
