@@ -58,14 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file pre-setting any flag")
         p.add_argument("--out", help="output path (default: stdout)")
 
-    def add_target(p):
+    def add_target(p, logistic=True):
         p.add_argument("--seed", type=int, default=0, help="RNG seed (no wall-clock seeding)")
-        p.add_argument("--target", choices=("quadratic", "logistic"), default="quadratic")
-        p.add_argument("--quad-diag", default="1", help="comma-separated curvature diagonal")
-        p.add_argument("--quad-center", default=None, help="comma-separated center (default 0)")
-        p.add_argument("--dataset", help="LIBSVM file for the logistic target")
-        p.add_argument("--lambda", dest="lam", type=float, default=1e-2, help="ridge weight")
-        p.add_argument("--scale-features", action="store_true", help="scale columns to [-1,1]")
+        p.add_argument("--quad-diag", help="comma-separated quadratic diagonal (default 1)")
+        p.add_argument("--quad-center", help="comma-separated quadratic center (default 0)")
+        if logistic:
+            p.add_argument("--dataset",
+                           help="LIBSVM file; the target is its ridge-logistic posterior")
+            p.add_argument("--lambda", dest="lam", type=float,
+                           help="ridge weight of the posterior (default 0.01)")
+            p.add_argument("--scale-features", action="store_true", default=None,
+                           help="scale the dataset's columns to [-1,1]")
 
     p = sub.add_parser("sample", help="run chains and write final positions")
     add_common(p)
@@ -76,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=int, help="explicit iteration count")
     p.add_argument("--r-midpoints", type=int, default=1)
     p.add_argument("--k-iters", type=int, default=2)
-    p.add_argument("--c-const", type=float, default=0.5, help="step-size rule constant")
+    p.add_argument("--c-const", type=float, help="constant of the --epsilon rule (default 0.5)")
     p.add_argument("--chains", type=int, default=1)
 
     p = sub.add_parser("convergence", help="normalized W2 across an epsilon grid")
     add_common(p)
-    add_target(p)
+    add_target(p, logistic=False)  # the study's oracles are those of a quadratic
     p.add_argument("--epsilon", default="0.5,0.25", help="comma-separated epsilon grid")
     p.add_argument("--c-const", type=float, default=0.5)
     p.add_argument("--chains", type=int, default=1000)
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float)
     p.add_argument("--c-const", type=float, default=0.5)
     p.add_argument("--parallel", action="store_true", help="use the R-midpoint rule")
-    p.add_argument("--c-r", type=float, default=1.0)
+    p.add_argument("--c-r", type=float, help="midpoint constant of --parallel (default 1)")
     return parser
 
 
@@ -153,20 +156,41 @@ def _config_value(action, value):
     return value
 
 
+def _only_with(args, acts, where, **defaults):
+    """Check flags, given as {dest: default}, that act only when `acts`.
+
+    They default to None in the parser, so a flag given is told from one
+    left out.  If the run does not act on them, one given (as a flag or a
+    config key) is a configuration error; if it does, one left out takes
+    its default, which the config line then shows.
+    """
+    given = [dest for dest in defaults if getattr(args, dest, None) is not None]
+    if given and not acts:
+        flags = [f"--{'lambda' if d == 'lam' else d.replace('_', '-')}" for d in given]
+        raise ConfigError(f"{' and '.join(flags)} would be ignored {where} "
+                          "(flags and config keys count together)")
+    for dest, default in defaults.items() if acts else ():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def _make_target(args):
-    if args.target == "quadratic":
-        diag = np.array(_parse_floats(args.quad_diag))
-        if args.quad_center is None:
-            center = np.zeros_like(diag)
-        else:
-            center = np.array(_parse_floats(args.quad_center))
-        if center.shape != diag.shape:
-            raise ConfigError("quad-diag and quad-center lengths differ")
-        return quadratic_target(diag, center)
-    if not args.dataset:
-        raise ConfigError("logistic target needs --dataset")
-    data = load_libsvm(args.dataset, scale_features=args.scale_features)
-    return logistic_target(data, args.lam)
+    """The ridge-logistic posterior of --dataset when it is given, else the
+    quadratic of --quad-diag and --quad-center."""
+    logistic = getattr(args, "dataset", None) is not None
+    _only_with(args, not logistic, "beside --dataset", quad_diag="1", quad_center=None)
+    _only_with(args, logistic, "without --dataset", lam=1e-2, scale_features=False)
+    if logistic:
+        data = load_libsvm(args.dataset, scale_features=args.scale_features)
+        return logistic_target(data, args.lam)
+    diag = np.array(_parse_floats(args.quad_diag))
+    if args.quad_center is None:
+        center = np.zeros_like(diag)
+    else:
+        center = np.array(_parse_floats(args.quad_center))
+    if center.shape != diag.shape:
+        raise ConfigError("quad-diag and quad-center lengths differ")
+    return quadratic_target(diag, center)
 
 
 def _resolved_config(args):
@@ -205,6 +229,7 @@ def cmd_sample(args) -> int:
                           "(flags and config keys count together)")
     if args.epsilon is not None and (args.r_midpoints, args.k_iters) != (1, 2):
         raise ConfigError("--epsilon sets R and K: give it without --r-midpoints and --k-iters")
+    _only_with(args, args.epsilon is not None, "without --epsilon", c_const=0.5)
     _check_chains(args.chains)
     target = _make_target(args)
     if args.epsilon is not None:
@@ -229,8 +254,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    if args.target != "quadratic":
-        raise ConfigError("convergence study requires a quadratic target")
     target = _make_target(args)
     epsilons = _parse_floats(args.epsilon)
     if not epsilons:
@@ -271,6 +294,7 @@ def cmd_schedule(args) -> int:
     missing = [f"--{name}" for name in ("epsilon", "kappa") if getattr(args, name) is None]
     if missing:
         raise ConfigError(f"schedule needs {' and '.join(missing)}, as a flag or config key")
+    _only_with(args, args.parallel, "without --parallel", c_r=1.0)
     if args.parallel:
         sched = schedule_parallel(args.epsilon, args.kappa, C=args.c_const, c_R=args.c_r)
     else:

@@ -20,11 +20,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def write_dataset(path, n=40, d=3, seed=0):
+    """A seeded LIBSVM file of n points in d features, not scaled to [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, d)) * np.arange(1.0, d + 1.0)
+    labels = np.where(features @ np.ones(d) + rng.normal(size=n) > 0, 1, -1)
+    path.write_text("".join(
+        f"{y:+d} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row)) + "\n"
+        for y, row in zip(labels, features.tolist())))
+    return path
+
+
 class TestSampleCommand:
     def test_zero_steps_single_chain_writes_start(self, tmp_path):
         out = tmp_path / "samples.csv"
         code = run_cli(
-            "sample", "--target", "quadratic", "--quad-diag", "1,2",
+            "sample", "--quad-diag", "1,2",
             "--quad-center", "0.5,-0.5", "--method", "rmm",
             "--h", "0.05", "--n-steps", "0", "--chains", "1",
             "--seed", "7", "--out", str(out),
@@ -130,15 +141,28 @@ class TestSampleCommand:
 
     def test_missing_dataset_file_is_runtime_error(self, tmp_path):
         code = run_cli(
-            "sample", "--target", "logistic",
-            "--dataset", str(tmp_path / "nope.txt"),
+            "sample", "--dataset", str(tmp_path / "nope.txt"),
             "--h", "0.05", "--n-steps", "1",
         )
         assert code == 3
 
     def test_logistic_dataset_flag_required(self):
-        assert run_cli("sample", "--target", "logistic", "--h", "0.05",
-                       "--n-steps", "1") == 2
+        # --dataset alone selects the logistic target; there is no --target
+        with pytest.raises(SystemExit) as exited:
+            run_cli("sample", "--target", "logistic", "--h", "0.05", "--n-steps", "1")
+        assert exited.value.code == 2
+
+    def test_dataset_alone_samples_its_posterior(self, tmp_path):
+        data, out = write_dataset(tmp_path / "d.txt"), tmp_path / "o.csv"
+        assert run_cli("sample", "--dataset", str(data), "--h", "0.05", "--n-steps", "3",
+                       "--chains", "2", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        config = json.loads(lines[1].removeprefix("# config "))
+        assert (config["lam"], config["scale_features"], config["quad_diag"]) == (0.01, False,
+                                                                                  None)
+        assert lines[2].endswith(" grad_evals=12")  # two gradients per step, two chains
+        assert lines[3] == "chain,x0,x1,x2"
+        assert len(lines) == 6
 
 
 class TestScheduleCommand:
@@ -221,18 +245,123 @@ def test_every_schedule_flag_changes_the_output(parallel, capsys):
     def output(**values):
         flags = [tok for dest, value in {**SCHEDULE_BASE, **values}.items()
                  for tok in (f"--{dest.replace('_', '-')}", str(value))]
-        assert run_cli("schedule", *flags, *(["--parallel"] if parallel else [])) == 0
-        return capsys.readouterr().out
+        code = run_cli("schedule", *flags, *(["--parallel"] if parallel else []))
+        return code, capsys.readouterr().out
 
     sub = build_parser()._subparsers._group_actions[0].choices["schedule"]
     dests = {a.dest for a in sub._actions if a.option_strings}
     dests -= {"help", "config", "out", "parallel"}
     assert dests == set(SCHEDULE_FLAG_SECOND)
     base = output()
+    assert base[0] == 0
     for dest in sorted(dests):
+        code, out = output(**{dest: SCHEDULE_FLAG_SECOND[dest]})
         if dest == "c_r" and not parallel:
-            continue  # the midpoint constant is a setting of the parallel rule only
-        assert output(**{dest: SCHEDULE_FLAG_SECOND[dest]}) != base, dest
+            # the midpoint constant is a setting of the parallel rule only
+            assert (code, out) == (2, ""), dest
+        else:
+            assert code == 0 and out != base[1], dest
+
+
+# For each target-taking subcommand, a second value for every flag (None for
+# a switch) and runs to try them in.  Runs whose flags make another flag idle
+# show that it exits 2: --dataset makes the quadratic flags idle, its absence
+# --lambda and --scale-features, explicit steps --c-const.  DATASET and OTHER
+# stand for two dataset files.
+TARGET_FLAG_SECOND = {"seed": "1", "quad_diag": "1,2", "quad_center": "1,-1",
+                      "dataset": "OTHER", "lam": "0.5", "scale_features": None, "chains": "3"}
+TARGET_RUNS = {
+    "sample": ({"method": "lmc", "epsilon": "0.8", "h": "0.04", "n_steps": "4",
+                "r_midpoints": "3", "k_iters": "3", "c_const": "0.04"}, [
+        ("--quad-diag", "1,4", "--h", "0.05", "--n-steps", "3", "--chains", "2"),
+        ("--quad-diag", "1,4", "--h", "0.05", "--n-steps", "3", "--chains", "2",
+         "--method", "rmm_parallel"),
+        ("--quad-diag", "1,1.5", "--epsilon", "0.9", "--chains", "2"),
+        ("--dataset", "DATASET", "--h", "0.05", "--n-steps", "3", "--chains", "2"),
+    ]),
+    "coupled-error": ({"h": "0.05,0.2", "total_time": "0.8", "refinement": "64"}, [
+        ("--quad-diag", "1,4", "--h", "0.1,0.2", "--total-time", "0.4", "--chains", "2",
+         "--refinement", "32"),
+        ("--dataset", "DATASET", "--h", "0.1,0.2", "--total-time", "0.4", "--chains", "2",
+         "--refinement", "32"),
+    ]),
+    "convergence": ({"epsilon": "0.95", "c_const": "0.04"}, [
+        ("--quad-diag", "1,1.5", "--epsilon", "0.9", "--chains", "50"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TARGET_RUNS))
+def test_every_target_flag_changes_the_rows_or_exits_2(command, tmp_path, capsys):
+    files = {"DATASET": str(write_dataset(tmp_path / "d.txt")),
+             "OTHER": str(write_dataset(tmp_path / "e.txt", seed=1))}
+    out = tmp_path / "o.csv"
+
+    def rows(argv):
+        argv = [files.get(tok, tok) for tok in argv]
+        code = run_cli(command, *argv, "--out", str(out))
+        capsys.readouterr()
+        if code != 0:
+            assert code == 2 and not out.exists(), (argv, code)
+            return None
+        text = out.read_text()
+        out.unlink()
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    actions = {a.dest: a for a in sub._actions if a.option_strings}
+    for dest in ("help", "config", "out"):
+        del actions[dest]
+    seconds, runs = TARGET_RUNS[command]
+    seconds = {**TARGET_FLAG_SECOND, **seconds}
+    idle = set()
+    for run, base in enumerate(runs):
+        base_rows = rows(base)
+        assert base_rows is not None, base
+        for dest, action in sorted(actions.items()):
+            flag, value = action.option_strings[-1], seconds[dest]
+            argv = list(base)
+            if flag in argv:
+                del argv[argv.index(flag):argv.index(flag) + 2]
+            argv += [flag] if value is None else [flag, value]
+            if rows(argv) == base_rows:
+                idle.add((run, dest))
+    # The one known exception: run_chain takes R and K for every method but
+    # only rmm_parallel reads them (the bench's chains workload passes them to
+    # all five methods), so they are idle in serial runs with explicit steps.
+    serial = [run for run, base in enumerate(runs)
+              if command == "sample" and not {"rmm_parallel", "--epsilon"} & set(base)]
+    assert idle == {(run, dest) for run in serial for dest in ("r_midpoints", "k_iters")}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("sample", "--dataset", "MISSING", "--quad-diag", "1,4", "--h", "0.05", "--n-steps", "3"),
+     {}),
+    (("sample", "--dataset", "MISSING", "--h", "0.05", "--n-steps", "3"), {"quad-center": "1"}),
+    (("coupled-error", "--dataset", "MISSING", "--quad-center", "1"), {}),
+    (("sample", "--h", "0.05", "--n-steps", "3"), {"lambda": 0.1}),
+    (("sample", "--h", "0.05", "--n-steps", "3"), {"scale-features": False}),
+    (("coupled-error", "--lambda", "0.1"), {}),
+    (("sample", "--scale-features", "--h", "0.05", "--n-steps", "3"), {}),
+    (("sample", "--quad-diag", "1,4", "--h", "0.05", "--n-steps", "3", "--c-const", "0.3"), {}),
+    (("sample", "--quad-diag", "1,4", "--h", "0.05", "--n-steps", "3"), {"c-const": 0.5}),
+    (("schedule", "--epsilon", "0.1", "--kappa", "100", "--c-r", "5"), {}),
+    (("schedule", "--epsilon", "0.1", "--kappa", "100"), {"c_r": 1.0}),
+], ids=["quad-diag", "config quad-center", "coupled quad-center", "config lambda",
+        "config scale-features", "coupled lambda", "scale-features", "c-const",
+        "config c-const", "c-r", "config c-r"])
+def test_flag_a_run_would_ignore_exits_2_before_any_work(argv, config, tmp_path, capsys,
+                                                         monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("the draw thread was set up")
+
+    monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+    cfg, out = tmp_path / "run.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(config))
+    argv = [str(tmp_path / "missing.txt") if tok == "MISSING" else tok for tok in argv]
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+    assert "would be ignored" in capsys.readouterr().err  # not the missing file's exit 3
+    assert not out.exists()
 
 
 class TestConvergenceCommand:
@@ -252,11 +381,10 @@ class TestConvergenceCommand:
     def test_requires_quadratic(self, tmp_path):
         data = tmp_path / "d.txt"
         data.write_text("+1 1:1\n-1 1:-1\n")
-        code = run_cli(
-            "convergence", "--target", "logistic", "--dataset", str(data),
-            "--epsilon", "0.5",
-        )
-        assert code == 2
+        for flags in (("--dataset", str(data)), ("--lambda", "0.1"), ("--scale-features",)):
+            with pytest.raises(SystemExit) as exited:
+                run_cli("convergence", *flags, "--epsilon", "0.5")
+            assert exited.value.code == 2, flags
 
     def test_empty_grid_is_config_error(self, tmp_path):
         out = tmp_path / "conv.csv"
