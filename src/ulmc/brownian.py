@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import UlmcError
+from .errors import ScheduleError, UlmcError
 
 __all__ = [
     "IntervalStats",
@@ -133,6 +133,12 @@ def _cell_law(t):
 def _is_count(value):
     """A Python or numpy integer >= 0; bool is not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
+def _require_midpoint_count(R):
+    """The rule for the midpoint count R: a count >= 1."""
+    if not _is_count(R) or R < 1:
+        raise ScheduleError(f"midpoint count must be an integer >= 1, got {R!r}")
 
 
 def _require_length(t):
@@ -413,17 +419,16 @@ def _require_cells(alphas, R):
 def parallel_step_increments(h, R, alphas, dim, rng) -> StepIncrements:
     """Sample (W1_1..W1_R, W2, W3) jointly consistent with one path.
 
-    R is a count >= 1 (`_is_count`) and alpha_i must lie in its cell
-    [(i-1)/R, i/R].  [0, h] is R equal cells; one (3R, chains, dim) block
-    is drawn, per cell its (z0, z1) normals, left to right, then one normal
-    per midpoint, which completes W1_i given its cell's (H, G)
-    (`_increments`), so R = 1 draws and builds as step_increments does.
-    alphas has shape (R,), when W1 has shape (R, dim), or (chains, R) for a
-    batch, when W1 has shape (chains, R, dim).
+    R is a count >= 1 (`_require_midpoint_count`, ScheduleError otherwise)
+    and alpha_i must lie in its cell [(i-1)/R, i/R].  [0, h] is R equal
+    cells; one (3R, chains, dim) block is drawn, per cell its (z0, z1)
+    normals, left to right, then one normal per midpoint, which completes
+    W1_i given its cell's (H, G) (`_increments`), so R = 1 draws and builds
+    as step_increments does.  alphas has shape (R,), when W1 has shape (R,
+    dim), or (chains, R) for a batch, when W1 has shape (chains, R, dim).
     """
     _require_length(h)
-    if not _is_count(R) or R < 1:
-        raise UlmcError(f"midpoint count must be an integer >= 1, got {R!r}")
+    _require_midpoint_count(R)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim not in (1, 2) or alphas.shape[-1] != R:
         raise UlmcError(f"expected {R} midpoints, got shape {alphas.shape}")

@@ -6,11 +6,11 @@ Subcommands:
   coupled-error  strong error versus step size against a shared-path reference
   schedule       print the (h, N) or (h, R, K, N) rule as JSON
 
-A JSON config file (--config) may pre-set any long flag (keys with dashes
-or underscores); explicit flags override it, a key that no subcommand
-takes is a configuration error, and a value passes the checks of the
-flag's text.  All outputs are deterministic given (config, seed): no
-wall-clock anywhere.
+A JSON config file (--config) may pre-set any long flag of the subcommand
+(keys with dashes or underscores); explicit flags override it, a key that
+the subcommand does not take is a configuration error, and a value passes
+the checks of the flag's text.  All outputs are deterministic given
+(config, seed): no wall-clock anywhere.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -128,14 +128,15 @@ def _apply_config_file(parser, argv):
     if "lambda" in defaults:
         defaults["lam"] = defaults.pop("lambda")
     subparsers = parser._subparsers._group_actions[0].choices
-    dests = [{a.dest for a in sub._actions} for sub in subparsers.values()]
-    unknown = sorted(set(defaults).difference(*dests))
-    if unknown:
-        raise ConfigError(f"config file keys that no subcommand takes: {', '.join(unknown)}")
     # no option of the main parser takes a value, so the first command name
-    # in argv is the command
+    # in argv is the command; without one, argparse reports the missing command
     command = next((tok for tok in argv if tok in subparsers), None)
-    for action in subparsers[command]._actions if command else ():
+    actions = subparsers[command]._actions if command else ()
+    unknown = sorted({"lam": "lambda"}.get(key, key)
+                     for key in set(defaults).difference(a.dest for a in actions))
+    if command and unknown:
+        raise ConfigError(f"config file keys that {command} does not take: {', '.join(unknown)}")
+    for action in actions:
         if action.dest in defaults:
             action.default = _config_value(action, defaults[action.dest])
 

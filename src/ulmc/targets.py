@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .brownian import _is_count
 from .errors import DatasetFormatError, InvalidTargetError, UlmcError
 
 __all__ = [
@@ -33,9 +34,9 @@ __all__ = [
 class TargetSpec:
     """A sampling target given by its gradient oracle and convexity constants.
 
-    dim: dimension d.
+    dim: dimension d, an integer >= 1 (`_is_count`).
     gradient: maps (d,) or (k, d) arrays to arrays of the same shape.
-    smoothness: Lipschitz constant L of the gradient.
+    smoothness: finite Lipschitz constant L of the gradient.
     strong_convexity: strong convexity constant m, 0 < m <= L.
     minimizer: optional minimizer of the potential.
     value: optional potential evaluation, for diagnostics only.
@@ -49,11 +50,11 @@ class TargetSpec:
     value: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidTargetError(f"dimension must be >= 1, got {self.dim}")
-        if not (0.0 < self.strong_convexity <= self.smoothness):
+        if not _is_count(self.dim) or self.dim < 1:
+            raise InvalidTargetError(f"dimension must be an integer >= 1, got {self.dim!r}")
+        if not (0.0 < self.strong_convexity <= self.smoothness < np.inf):
             raise InvalidTargetError(
-                f"need 0 < m <= L, got m={self.strong_convexity}, L={self.smoothness}"
+                f"need 0 < m <= L < inf, got m={self.strong_convexity}, L={self.smoothness}"
             )
 
     @property

@@ -75,6 +75,10 @@ class TestGaussianW2:
         with pytest.raises(UlmcError):
             ulmc.gaussian_w2(np.zeros(2), bad, np.zeros(2), np.eye(2))
 
+    def test_rejects_non_square_covariance(self):
+        with pytest.raises(UlmcError, match="cov1 must be square"):
+            ulmc.gaussian_w2(np.zeros(2), np.ones((2, 3)), np.zeros(2), np.eye(2))
+
     @pytest.mark.parametrize("mean1, mean2, cov2", [
         ([0.0], [0.0, 0.0], np.eye(2)),
         ([0.0, 0.0, 0.0], [0.0, 0.0], np.eye(2)),
@@ -387,6 +391,13 @@ class TestMomentOracle:
         # gradient-free flow: x drifts by the integrated velocity decay only
         np.testing.assert_allclose(trace.means[-1][:2], x0, atol=1e-8)
 
+    def test_rejects_negative_curvature(self):
+        # TargetSpec cannot see the gradient's sign; the oracle's probe does
+        target = ulmc.TargetSpec(dim=2, gradient=lambda x: -np.asarray(x, dtype=float),
+                                 smoothness=1.0, strong_convexity=1.0, minimizer=np.zeros(2))
+        with pytest.raises(UnsupportedTargetError, match="positive curvature"):
+            ulmc.rmm_moment_oracle(target, 0.05, 3)
+
     def test_monte_carlo_cross_check_one_step(self):
         target = ulmc.quadratic_target([1.0], [0.0])
         h, chains = 0.05, 1_000_000
@@ -600,6 +611,19 @@ class TestCoupledExperiment:
         n_h = [round(total_time / h) for h in h_values]
         n_ref = max(n_h) * refinement
         assert res.grad_evals == chains * (n_ref + per_step * sum(n_h))
+
+    def test_rejects_a_method_without_a_coupled_run(self):
+        target = ulmc.quadratic_target([1.0], [0.0])
+        with pytest.raises(ConfigError, match="coupled experiment supports"):
+            ulmc.coupled_error_experiment(target, [0.1], 1.0, seed=0, chains=1,
+                                          methods=("lmc",))
+
+    def test_one_step_size_has_no_slope(self):
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        res = ulmc.coupled_error_experiment(target, [0.1], 1.0, seed=0, chains=2)
+        assert [m for _, m, _ in res.rows] == ["rmm", "exp_euler_uld"]
+        assert all(math.isnan(slope) for slope in res.slopes.values())
+        assert set(res.slopes) == {"rmm", "exp_euler_uld"}
 
     def test_rejects_low_refinement(self):
         target = ulmc.quadratic_target([1.0], [0.0])

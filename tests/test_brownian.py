@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ulmc
-from ulmc import UlmcError
+from ulmc import ScheduleError, UlmcError
 from ulmc.analysis import w_covariance
 from ulmc.brownian import (
     BrownianPathStore,
@@ -193,6 +193,11 @@ class TestCompose:
             assert combined.length == iv.length
             np.testing.assert_array_equal(combined.H, iv.H)
             np.testing.assert_array_equal(combined.G, iv.G)
+
+    @pytest.mark.parametrize("length", [-0.1, np.nan, np.inf])
+    def test_rejects_length_that_is_negative_or_not_finite(self, length):
+        with pytest.raises(UlmcError, match="interval length must be >= 0"):
+            ulmc.IntervalStats(length=length, H=np.zeros(2), G=np.zeros(2))
 
     def test_composed_covariance_matches_single_interval(self):
         rng = np.random.default_rng(2)
@@ -385,6 +390,11 @@ class TestStepIncrements:
             corr = lambda c: c / np.sqrt(np.outer(np.diag(c), np.diag(c)))
             np.testing.assert_allclose(corr(emp), corr(oracle), atol=0.01)
 
+    @pytest.mark.parametrize("bad", [1.5, np.nan, -0.1])
+    def test_batch_rejects_fraction_outside_unit_interval(self, bad):
+        with pytest.raises(UlmcError, match=r"midpoint fraction must be in \[0, 1\]"):
+            step_increments_batch(0.05, [0.5, bad], 2, np.random.default_rng(0))
+
     def test_exp_euler_increments_covariance(self):
         h = 0.05
         rng = np.random.default_rng(13)
@@ -573,6 +583,21 @@ class TestParallelIncrements:
         )[0]
         emp = np.cov(np.stack([inc.W1[0], inc.W2]))[0, 1]
         np.testing.assert_allclose(emp, oracle, rtol=MC_RTOL)
+
+    def test_rejects_alphas_of_three_axes(self):
+        alphas = np.full((2, 3, 2), 0.25) + [0.0, 0.5]
+        with pytest.raises(UlmcError, match=r"expected 2 midpoints, got shape \(2, 3, 2\)"):
+            ulmc.parallel_step_increments(0.05, 2, alphas, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("R", [0, -1, 2.0, True])
+    def test_midpoint_count_follows_the_samplers_rule(self, R):
+        # one rule, one error class and one message for R wherever it is read
+        with pytest.raises(ScheduleError) as by_increments:
+            ulmc.parallel_step_increments(0.05, R, [0.5], 3, np.random.default_rng(0))
+        with pytest.raises(ScheduleError) as by_schedule:
+            ulmc.Schedule(h=0.05, N=1, u=1.0, R=R)
+        assert str(by_increments.value) == str(by_schedule.value)
+        assert str(by_increments.value) == f"midpoint count must be an integer >= 1, got {R!r}"
 
     def test_rejects_midpoint_outside_cell(self):
         rng = np.random.default_rng(16)

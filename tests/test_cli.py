@@ -46,6 +46,17 @@ class TestSampleCommand:
         assert data_rows[0] == "chain,x0,x1"
         assert data_rows[1] == "0,0.5,-0.5"
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--quad-diag", "1,x"), "expected comma-separated numbers, got '1,x'"),
+        (("--quad-diag", "1,2", "--quad-center", "0,0,0"), "lengths differ"),
+    ], ids=["not a number", "lengths differ"])
+    def test_bad_quadratic_is_config_error(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "samples.csv"
+        assert run_cli("sample", *flags, "--h", "0.05", "--n-steps", "3",
+                       "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -476,15 +487,24 @@ class TestConfigFile:
         else:
             assert "h=0.05 n_steps=3 " in out.read_text()
 
-    def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
-        # a config shared by sample and schedule: schedule takes no --seed
-        cfg = tmp_path / "shared.json"
-        cfg.write_text(json.dumps({"seed": 7, "c-const": 0.25}))
-        flags = ("--epsilon", "0.1", "--kappa", "10")
-        assert run_cli("schedule", "--config", str(cfg), *flags) == 0
-        with_config = json.loads(capsys.readouterr().out)
-        assert run_cli("schedule", "--c-const", "0.25", *flags) == 0
-        assert with_config == json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize("keys, argv", [
+        ({"dataset": "/nonexistent.svm", "lambda": 0.5},
+         ("convergence", "--quad-diag", "1,2", "--epsilon", "0.9", "--chains", "50")),
+        ({"seed": 7, "c-const": 0.25}, ("schedule", "--epsilon", "0.1", "--kappa", "10")),
+    ], ids=["dataset under convergence", "seed under schedule"])
+    def test_key_of_another_subcommand_exits_2_before_any_work(self, keys, argv, tmp_path,
+                                                               capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("the draw thread was set up")
+
+        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        cfg, out = tmp_path / "shared.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(keys))
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"keys that {argv[0]} does not take" in err
+        assert all(key in err for key in keys if key != "c-const")
+        assert not out.exists()
 
 
 class TestSampleDriver:

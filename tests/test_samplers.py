@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,6 @@ from ulmc import ConfigError, SamplerState, Schedule, ScheduleError
 from ulmc.brownian import StepIncrements
 from ulmc.samplers import (
     exp_euler_coefficients,
-    midpoint_coefficient,
     run_chain,
 )
 from ulmc.targets import GradientCounter, TargetSpec
@@ -251,18 +251,87 @@ class TestParallelStep:
         np.testing.assert_allclose(out.x, x + 0.5 * (1 - np.exp(-2 * h)) * v, rtol=1e-15)
         np.testing.assert_allclose(out.v, v * np.exp(-2 * h), rtol=1e-15)
 
-    def test_update_weight_matches_quadrature(self):
-        # closed-form integral of the midpoint weight over one cell
-        h, r = 0.08, 4
-        delta = h / r
-        for i in range(1, r + 1):
-            theta = (i - 0.5) * delta
-            a = (i - 1) * delta
-            closed = midpoint_coefficient(theta, a, i * delta)
-            reference = delta / 2 - 0.5 * (1 - np.exp(-delta))
-            np.testing.assert_allclose(closed, reference, rtol=1e-12)
-            oracle = quad(lambda s: 1 - np.exp(-2 * (theta - s)), a, theta)[0]
-            assert abs(closed - oracle) < 1e-10
+    @pytest.mark.parametrize("h, R", [(0.05, 2), (0.05, 40), (0.5, 5), (0.99, 7),
+                                      (0.001, 10)])
+    def test_sweeps_match_the_dense_integral(self, h, R):
+        # K = 3 from the origin at rest: the first sweep's gradients agree across
+        # midpoints, the second's do not; the last midpoint sits 1e-7 cells into
+        # its cell.  The reference builds the dense lower-triangular C in 50 digits.
+        rng = np.random.default_rng(R)
+        diag, center = rng.uniform(1.0, 10.0, 3), rng.standard_normal(3)
+        target = ulmc.quadratic_target(diag, center)
+        fractions = rng.random(R)
+        fractions[-1] = 1e-7
+        alphas = (np.arange(R) + fractions) / R
+        zero = np.zeros(3)
+        incs = StepIncrements(W1=np.zeros((R, 3)), W2=zero, W3=zero)
+        points = []
+
+        def recorded(x):
+            points.append(np.array(x))
+            return target.gradient(x)
+
+        spy = TargetSpec(dim=3, gradient=recorded, smoothness=target.smoothness,
+                         strong_convexity=target.strong_convexity)
+        out = ulmc.parallel_rmm_step(SamplerState(zero, zero), spy, h, R, 3, alphas, incs)
+
+        with mp.workdps(50):
+            u, delta = 1 / mp.mpf(target.smoothness), mp.mpf(h) / R
+            tau = [mp.mpf(float(t)) for t in alphas * h]  # the step's alpha_i * h
+
+            def coefficient(i, j):  # int over cell j, up to tau_i, of 1 - e^{-2(tau_i - s)}
+                end = min(tau[i], (j + 1) * delta)
+                return end - j * delta - (mp.exp(-2 * (tau[i] - end))
+                                          - mp.exp(-2 * (tau[i] - j * delta))) / 2
+
+            C = [[coefficient(i, j) for j in range(i + 1)] for i in range(R)]
+            grad = lambda e: [[mp.mpf(a) * (p - mp.mpf(c)) for a, p, c in zip(diag, row, center)]
+                              for row in e]
+            estimates, sweeps = [[mp.mpf(0)] * 3] * R, []
+            for _ in range(2):
+                g = grad(estimates)
+                estimates = [[-u / 2 * mp.fsum(C[i][j] * g[j][k] for j in range(i + 1))
+                              for k in range(3)] for i in range(R)]
+                sweeps.append(estimates)
+            g = grad(estimates)
+            tail = [mp.exp(-2 * (h - t)) for t in tau]
+            x = [-u * delta / 2 * mp.fsum((1 - tail[i]) * g[i][k] for i in range(R))
+                 for k in range(3)]
+            v = [-u * delta * mp.fsum(tail[i] * g[i][k] for i in range(R)) for k in range(3)]
+
+        scale = h * max(np.abs(target.gradient(p)).max() for p in points)
+        assert len(points) == 3
+        for got, want in zip(points[1:], sweeps):
+            assert np.abs(got - np.array(want, dtype=float)).max() <= 2e-16 * scale
+        assert np.abs(out.x - np.array(x, dtype=float)).max() <= 2e-16 * scale
+        assert np.abs(out.v - np.array(v, dtype=float)).max() <= 2e-16 * scale
+
+    def test_traced_peak_is_linear_in_midpoints(self):
+        # schedule_parallel(0.01, 100)'s (h, R, K) = (0.05, 4606, 7); a dense
+        # (chains, R, R) coefficient array alone would be 679 MB
+        sched = ulmc.schedule_parallel(0.01, 100.0)
+        h, R, K = sched.h, sched.R, sched.K
+        assert (h, R, K) == (0.05, 4606, 7)
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        rng = np.random.default_rng(5)
+        alphas = (np.arange(R) + rng.random((4, R))) / R
+        incs = ulmc.parallel_step_increments(h, R, alphas, 2, rng)
+        state = SamplerState(rng.standard_normal((4, 2)), np.zeros((4, 2)))
+        tracemalloc.start()
+        try:
+            out = ulmc.parallel_rmm_step(state, target, h, R, K, alphas, incs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(out.x).all()
+        assert peak < 16 * 2**20
+
+    def test_rejects_a_fraction_count_other_than_R(self):
+        target = ulmc.quadratic_target([1.0], [0.0])
+        state = SamplerState(np.zeros(1), np.zeros(1))
+        incs = ulmc.StepIncrements(W1=np.zeros((2, 1)), W2=np.zeros(1), W3=np.zeros(1))
+        with pytest.raises(ulmc.UlmcError, match="expected 2 midpoint fractions"):
+            ulmc.parallel_rmm_step(state, target, 0.05, 2, 2, [0.25, 0.5, 0.75], incs)
 
     def test_rejects_shallow_fixed_point(self):
         target = ulmc.quadratic_target([1.0], [0.0])

@@ -75,6 +75,38 @@ def half_threads(monkeypatch):
     return seen
 
 
+def spec(**fields):
+    """A TargetSpec of the identity gradient, with the given fields changed."""
+    base = dict(dim=2, gradient=lambda x: x, smoothness=1.0, strong_convexity=1.0)
+    return TargetSpec(**{**base, **fields})
+
+
+class TestTargetSpec:
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True, np.float64(2.0)])
+    def test_dimension_must_be_a_count_of_at_least_one(self, dim):
+        with pytest.raises(InvalidTargetError, match="dimension"):
+            spec(dim=dim)
+        assert spec(dim=np.int64(2)).dim == 2
+
+    @pytest.mark.parametrize("m, L", [(2.0, 1.0), (1.0, np.inf), (np.inf, np.inf),
+                                      (0.0, 1.0), (np.nan, 1.0), (1.0, np.nan)])
+    def test_constants_need_0_below_m_up_to_finite_L(self, m, L):
+        # with L = inf every stepper would read u = 1/L = 0 and stand still
+        with pytest.raises(InvalidTargetError, match="0 < m <= L < inf"):
+            spec(smoothness=L, strong_convexity=m)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("features, labels, message", [
+        ([[1.0], [2.0]], [1.0], "one entry per feature row"),
+        ([[1.0], [np.inf]], [1.0, -1.0], "non-finite"),
+        ([[1.0], [2.0]], [1.0, 0.0], "-1 or \\+1"),
+    ], ids=["label count", "non-finite feature", "label 0"])
+    def test_rejects_inconsistent_data(self, features, labels, message):
+        with pytest.raises(DatasetFormatError, match=message):
+            Dataset(features=np.array(features), labels=np.array(labels))
+
+
 class TestQuadraticTarget:
     def test_gradient_vanishes_at_minimizer(self):
         target = quadratic_target([1.0, 1.0], [0.0, 0.0])
@@ -378,6 +410,24 @@ class TestLoadLibsvm:
         path = tmp_path / "tri.txt"
         path.write_text("0 1:1\n1 1:1\n2 1:1\n")
         with pytest.raises(DatasetFormatError):
+            load_libsvm(path)
+
+    def test_comment_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "commented.txt"
+        path.write_text("# label idx:val\n+1 1:0.5\n  # indented\n-1 1:2\n")
+        data = load_libsvm(path)
+        np.testing.assert_array_equal(data.features, [[0.5], [2.0]])
+        np.testing.assert_array_equal(data.labels, [1.0, -1.0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("+1 1:1\nyes 1:2\n", ":2: bad label field 'yes'"),
+        ("+1 0:1\n", ":1: indices are 1-based, got 0"),
+        ("5 1:1\n7 1:2\n", "unrecognized label alphabet \\[5.0, 7.0\\]"),
+    ], ids=["label field", "index 0", "alphabet {5, 7}"])
+    def test_rejects_bad_fields(self, text, message, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=message):
             load_libsvm(path)
 
     def test_column_scaling(self, tmp_path):
