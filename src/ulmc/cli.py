@@ -131,7 +131,9 @@ def _apply_config_file(parser, argv):
     # no option of the main parser takes a value, so the first command name
     # in argv is the command; without one, argparse reports the missing command
     command = next((tok for tok in argv if tok in subparsers), None)
-    actions = subparsers[command]._actions if command else ()
+    # --config and --help are dests of every command, but a file cannot act on them
+    actions = [a for a in subparsers[command]._actions
+               if a.dest not in ("config", "help")] if command else ()
     unknown = sorted({"lam": "lambda"}.get(key, key)
                      for key in set(defaults).difference(a.dest for a in actions))
     if command and unknown:

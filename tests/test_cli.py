@@ -507,6 +507,31 @@ class TestConfigFile:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key, value", [("config", "OTHER"), ("help", True)])
+    def test_config_and_help_keys_exit_2_before_any_work(self, key, value, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("the draw thread was set up")
+
+        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        cfg, other, out = tmp_path / "run.json", tmp_path / "other.json", tmp_path / "o.csv"
+        other.write_text(json.dumps({"seed": 1}))
+        values = {"h": 0.05, "n-steps": 3, "quad-diag": "1"}
+        cfg.write_text(json.dumps({**values, key: str(other) if value == "OTHER" else value}))
+        opened = []
+        real_open = open
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(Path(path).resolve())
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        assert run_cli("sample", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"keys that sample does not take: {key}" in capsys.readouterr().err
+        assert opened == [cfg.resolve()]  # the file the key names is never read
+        assert not out.exists()
+
+
 class TestSampleDriver:
     def test_rows_equal_the_library_ensemble(self, tmp_path):
         out = tmp_path / "samples.csv"

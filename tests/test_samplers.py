@@ -907,3 +907,84 @@ class TestDrawThread:
         target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
         err = self.run_and_catch(lambda: run_chain(target, "rmm", 0.05, 20, seed=0))
         assert err is boom
+
+
+class TestDrawChunks:
+    """The draw thread draws each step's normals in chunks and waits out
+    split gradients between them; the draws stay bitwise those of one call."""
+
+    @pytest.mark.parametrize("method, chains, dim", [
+        ("rmm", 5, 3), ("lmc", 1, ulmc.samplers._CHUNK_DOUBLES),
+        ("rmm", 1000, 50), ("exp_euler_uld", 3, ulmc.samplers._CHUNK_DOUBLES + 1),
+    ], ids=["below a chunk", "one chunk", "18.3 chunks", "6 chunks and 6"])
+    def test_chunked_fill_equals_one_draw(self, method, chains, dim):
+        uniform_shape, normal_shape = ulmc.samplers._draw_plan(method, chains, dim, 1)
+        slot = ulmc.samplers._Slot(3, uniform_shape, normal_shape)
+        slot.normals[2] = np.nan  # not drawn: the fill stops after `count` steps
+        slot.fill(np.random.default_rng(6), 2)
+        rng = np.random.default_rng(6)
+        for s in range(2):
+            if uniform_shape is not None:
+                np.testing.assert_array_equal(slot.uniforms[s], rng.random(uniform_shape))
+            np.testing.assert_array_equal(slot.normals[s], rng.standard_normal(normal_shape))
+        assert np.isnan(slot.normals[2]).all()
+
+    def test_draw_thread_waits_out_a_split_gradient(self, monkeypatch):
+        # a step of 3 x 3000 chains x d = 3 normals spans four chunks; a split
+        # gradient put in flight after the first chunk of the first step
+        # stops the draws there until it returns
+        quad = ulmc.quadratic_target([1.0, 4.0, 9.0], [0.3, -0.2, 0.1])
+        sched = Schedule(h=0.05, N=4, u=1.0 / quad.smoothness)
+        expected = ulmc.rmm_run_ensemble(quad, sched, 3000, seed=9)
+        rng = np.random.default_rng(16)
+        features = rng.standard_normal((200, 10))
+        data = ulmc.Dataset(features=features, labels=np.sign(features[:, 0] + 0.5))
+        logistic = ulmc.logistic_target(data, 0.01)
+        split_batch = rng.standard_normal((1051, 10))  # above _SPLIT_WORK
+
+        held, release = threading.Event(), threading.Event()
+        margin_products = ulmc.targets._margin_products
+
+        def held_products(*args):
+            held.set()
+            assert release.wait(timeout=30)
+            margin_products(*args)
+
+        gate = ulmc.targets._split_gradients
+        gate_wait = gate.wait
+        asked, waiting, gradient = [], threading.Event(), []
+
+        def wait():
+            asked.append(threading.current_thread().name)
+            if len(asked) == 2:  # one chunk drawn: put the gradient in flight
+                thread = threading.Thread(target=lambda: logistic.gradient(split_batch),
+                                          daemon=True)
+                gradient.append(thread)
+                thread.start()
+                assert held.wait(timeout=30)
+                waiting.set()
+            gate_wait()
+
+        monkeypatch.setattr(ulmc.targets, "_margin_products", held_products)
+        monkeypatch.setattr(gate, "wait", wait)
+        results = []
+        run = threading.Thread(
+            target=lambda: results.append(ulmc.rmm_run_ensemble(quad, sched, 3000, seed=9)),
+            daemon=True)
+        threads = threading.active_count()
+        run.start()
+        try:
+            assert waiting.wait(timeout=30)
+            run.join(timeout=0.2)
+            assert run.is_alive() and not results
+            assert asked == ["ulmc-draws"] * 2  # no chunk drawn past the boundary
+        finally:
+            release.set()
+            run.join(timeout=30)
+            for thread in gradient:
+                thread.join(timeout=30)
+        assert not run.is_alive() and not any(t.is_alive() for t in gradient)
+        assert len(asked) == 4 * -(-3 * 3000 * 3 // ulmc.samplers._CHUNK_DOUBLES)
+        np.testing.assert_array_equal(results[0].x, expected.x)
+        np.testing.assert_array_equal(results[0].v, expected.v)
+        assert threading.active_count() == threads

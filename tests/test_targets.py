@@ -1,7 +1,9 @@
 """Target construction, gradient correctness and dataset ingestion."""
 
 import dataclasses
+import sys
 import threading
+import types
 
 import mpmath as mp
 import numpy as np
@@ -60,19 +62,65 @@ def split_rows(data):
     return 2 * -(-targets._SPLIT_WORK // (data.n_samples * data.dim)) + 1
 
 
+def blocks_of(rows):
+    """The block count of a split batch: _BLOCK_ROWS rows each, or halves."""
+    return -(-rows // min(targets._BLOCK_ROWS, -(-rows // 2)))
+
+
 @pytest.fixture
-def half_threads(monkeypatch):
-    """The threads that evaluated each `_margin_products` call of a logistic
-    gradient (one per half of a split batch), in order."""
+def block_threads(monkeypatch):
+    """(thread, products) of each `_margin_products` call of a logistic
+    gradient, in order: one call per row block of a split batch, whose
+    products are a view of the call's whole (k, d) array, kept here."""
     seen = []
     inner = targets._margin_products
 
-    def recorded(*args):
-        seen.append(threading.current_thread())
-        inner(*args)
+    def recorded(scaled, yx, t, s):
+        seen.append((threading.current_thread(), s if s.base is None else s.base))
+        inner(scaled, yx, t, s)
 
     monkeypatch.setattr(targets, "_margin_products", recorded)
     return seen
+
+
+def lanes_per_call(seen):
+    """The threads that computed blocks of each gradient call in `seen`."""
+    lanes = {}
+    for thread, products in seen:
+        lanes.setdefault(id(products), set()).add(thread)
+    return list(lanes.values())
+
+
+def is_helper(thread):
+    return thread.name == "ulmc-gradient" and thread is not threading.current_thread()
+
+
+class HelperFirst(threading.Thread):
+    """A helper that runs to its end inside start(), so it takes every block."""
+
+    def start(self):
+        super().start()
+        super().join()
+
+
+class HelperLast(threading.Thread):
+    """A helper that starts in join(), so the calling thread takes every block."""
+
+    def start(self):
+        pass
+
+    def join(self, timeout=None):
+        super().start()
+        super().join(timeout)
+
+
+@pytest.fixture(params=[HelperFirst, HelperLast], ids=["helper", "caller"])
+def one_lane(request, monkeypatch):
+    """Forces every block of a split gradient onto one lane: "helper" or
+    "caller", the lane's name."""
+    monkeypatch.setattr(targets, "threading",
+                        types.SimpleNamespace(Thread=request.param))
+    return "helper" if request.param is HelperFirst else "caller"
 
 
 def spec(**fields):
@@ -169,20 +217,44 @@ class TestLogisticTarget:
         grad = target.gradient(theta)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-10)
 
-    def test_batched_gradient_matches_rows(self, half_threads):
+    def test_batched_gradient_matches_rows(self, block_threads):
         # a split batch runs other BLAS kernels than one point does, so its
         # entries near 0 may differ in the last bits of the gradient's scale
         rng = np.random.default_rng(11)
         for n, d, k, atol in ((30, 4, 6, 0.0), (300, 20, None, 1e-15)):
             data = random_logistic_data(rng, n=n, d=d)
             target = logistic_target(data, 0.01)
-            half_threads.clear()  # the minimizer's single points do not split
+            block_threads.clear()  # the minimizer's single points do not split
             thetas = rng.standard_normal((k or split_rows(data), d))
             batched = target.gradient(thetas)
-            # an unsplit batch is one call here, a split one a call per thread
-            assert len(half_threads) == len(set(half_threads)) == (1 if k else 2)
+            # an unsplit batch is one call here, a split one a call per block,
+            # on this thread and at most one helper
+            assert len(block_threads) == (1 if k else blocks_of(len(thetas)))
+            (lanes,) = lanes_per_call(block_threads)
+            helpers = {t for t in lanes if t is not threading.current_thread()}
+            assert len(helpers) <= (0 if k else 1) and all(map(is_helper, helpers))
             rows = np.stack([target.gradient(t) for t in thetas])
             np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=atol)
+
+    @pytest.mark.parametrize("k", [1000, 1024, 45])
+    def test_split_gradient_is_bitwise_the_same_on_either_lane(self, k, one_lane,
+                                                                block_threads):
+        # the bench's shape; k = 1000 ends in a short block, 1024 in a full
+        # one, and 45 rows split in two blocks of 23 and 22
+        rng = np.random.default_rng(15)
+        data = random_logistic_data(rng, n=1000, d=50)
+        target = logistic_target(data, 0.01)
+        thetas = rng.standard_normal((k, 50))
+        block_threads.clear()
+        either = target.gradient(thetas)
+        assert len(block_threads) == blocks_of(k)
+        (lanes,) = lanes_per_call(block_threads)
+        assert len(lanes) == 1 and is_helper(*lanes) == (one_lane == "helper")
+        block_threads.clear()
+        with pytest.MonkeyPatch.context() as both_lanes:
+            both_lanes.setattr(targets, "threading", threading)
+            np.testing.assert_array_equal(target.gradient(thetas), either)
+        assert len(block_threads) == blocks_of(k)
 
     def test_gradient_matches_mpmath(self):
         # overlapping classes, and separable ones whose margins at 20 w give
@@ -224,18 +296,18 @@ class TestLogisticTarget:
             np.testing.assert_array_equal(thetas, before[0])
             np.testing.assert_array_equal(split, before[1])
 
-    @pytest.mark.parametrize("raising_half", ["helper", "caller"])
-    def test_split_gradient_raises_either_half_and_joins(self, raising_half, monkeypatch):
+    def test_split_gradient_raises_either_half_and_joins(self, one_lane, monkeypatch):
+        # the forced lane takes the first block, which raises
         rng = np.random.default_rng(13)
         data = random_logistic_data(rng, n=200, d=10)
         target = logistic_target(data, 0.01)
-        caller = threading.current_thread()
-        boom = RuntimeError(f"{raising_half} half failed")
+        boom = RuntimeError(f"{one_lane} lane failed")
         inner = targets._margin_products
+        blocks = []
 
         def failing(*args):
-            on_caller = threading.current_thread() is caller
-            if on_caller == (raising_half == "caller"):
+            blocks.append(threading.current_thread())
+            if len(blocks) == 1:
                 raise boom
             inner(*args)
 
@@ -244,9 +316,11 @@ class TestLogisticTarget:
         with pytest.raises(RuntimeError) as raised:
             target.gradient(rng.standard_normal((split_rows(data), data.dim)))
         assert raised.value is boom
+        assert is_helper(blocks[0]) == (one_lane == "helper")
         assert threading.active_count() == threads
+        assert targets._split_gradients._count == 0  # the gate is released
 
-    def test_concurrent_split_gradients_match_one_thread(self, monkeypatch, half_threads):
+    def test_concurrent_split_gradients_match_one_thread(self, monkeypatch, block_threads):
         rng = np.random.default_rng(14)
         data = random_logistic_data(rng, n=200, d=10)
         target = logistic_target(data, 0.01)
@@ -254,21 +328,48 @@ class TestLogisticTarget:
         with monkeypatch.context() as one_thread:
             one_thread.setattr(targets, "_SPLIT_WORK", np.inf)
             expected = [target.gradient(batch) for batch in batches]
-        half_threads.clear()
+        block_threads.clear()
         results = [None] * len(batches)
         start = threading.Barrier(len(batches))
+        # each call's first block waits for the other calls' first blocks, so
+        # the calls fail unless all four are in flight at once
+        in_flight = threading.Barrier(len(batches), timeout=30)
+        first_blocks = set()
+        lock = threading.Lock()
+        recorded = targets._margin_products
+
+        def together(scaled, yx, t, s):
+            with lock:
+                first = id(s.base) not in first_blocks
+                first_blocks.add(id(s.base))
+            if first:
+                in_flight.wait()
+            recorded(scaled, yx, t, s)
+
+        monkeypatch.setattr(targets, "_margin_products", together)
 
         def call(i):
             start.wait()
             results[i] = target.gradient(batches[i])
 
         callers = [threading.Thread(target=call, args=(i,)) for i in range(len(batches))]
-        for thread in callers:
-            thread.start()
-        for thread in callers:
-            thread.join()
-        assert len(half_threads) == 2 * len(batches)
-        assert len(set(half_threads)) == 2 * len(batches)  # one helper per call
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert targets._split_gradients._count == 0  # no update of the gate was lost
+        assert len(block_threads) == len(batches) * blocks_of(split_rows(data))
+        lanes = lanes_per_call(block_threads)
+        assert len(lanes) == len(batches)
+        helpers = [{t for t in call_lanes if t not in callers} for call_lanes in lanes]
+        assert all(len(h) <= 1 and all(t.name == "ulmc-gradient" for t in h) for h in helpers)
+        assert len(set().union(*helpers)) == sum(map(len, helpers))  # one helper per call
         for got, want in zip(results, expected):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
 
