@@ -18,13 +18,14 @@ runs of `analysis` alike; `run_chain`, `rmm_run`, `parallel_rmm_run` and
 `rmm_run_ensemble` wrap it.  The (epsilon, kappa) -> (h, N) rules live in
 `schedule` and `schedule_parallel`.
 
-A fresh-draw run's draws never depend on its state, so `_drive` makes them
-one slot of steps ahead on a second thread, in the fixed stream order of
-the seed, while the calling thread steps the chains; outputs do not depend
-on this.  That draw thread yields to a logistic gradient split over two
-threads (`targets`): it draws in chunks and waits between them while such
-a split is in flight, so the split has both cores of a two-core host.  A
-coupled run steps through the rows of a `BrownianPathStore`.
+A fresh-draw run's draws never depend on its state, so one generator,
+`_fresh_steps`, owns them: a second thread fills its ring of two slots one
+slot of steps ahead, in the fixed stream order of the seed, while the
+calling thread steps the chains; outputs do not depend on this.  That draw
+thread yields to a logistic gradient split over two threads (`targets`): it
+draws in chunks and waits between them while such a split is in flight, so
+the split has both cores of a two-core host.  A coupled run steps through
+the rows of a `BrownianPathStore`.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def _require_finite(state, method):
 _SLOT_DOUBLES = 2**16
 
 # The draw thread draws a step's normals in chunks of this many doubles and
-# waits out split gradients between chunks (`_Slot.fill`): a chunk takes
+# waits out split gradients between chunks (`_fill`): a chunk takes
 # about 0.14 ms on a 2-vCPU x86 host, under 3 % of a split bench gradient,
 # and 64 KiB chunks draw no slower than whole blocks.
 _CHUNK_DOUBLES = 2**13
@@ -253,32 +254,19 @@ def _draw_plan(method, chains, dim, R):
     return None, (chains, dim)
 
 
-def _steps_per_slot(uniform_shape, normal_shape):
-    per_step = (math.prod(uniform_shape) if uniform_shape else 0) + math.prod(normal_shape)
-    return max(1, _SLOT_DOUBLES // per_step)
-
-
-class _Slot:
-    """The draws of up to `steps` consecutive steps, step by step."""
-
-    def __init__(self, steps, uniform_shape, normal_shape):
-        self.uniforms = None if uniform_shape is None else np.empty((steps, *uniform_shape))
-        self.normals = np.empty((steps, *normal_shape))
-
-    def fill(self, rng, count):
-        """Draw the first `count` steps, in the order the Generator would.
-
-        Each step's normal block is drawn in chunks of _CHUNK_DOUBLES, in
-        stream order, so bitwise as in one call; before each chunk the
-        thread waits while a split gradient is in flight (`targets`).
-        """
-        for s in range(count):
-            if self.uniforms is not None:
-                rng.random(out=self.uniforms[s])  # bitwise uniform(size=...)
-            normals = self.normals[s].reshape(-1)
-            for start in range(0, normals.size, _CHUNK_DOUBLES):
-                _split_gradients.wait()
-                rng.standard_normal(out=normals[start:start + _CHUNK_DOUBLES])
+def _fill(rng, uniforms, normals, count):
+    """Draw the first `count` steps of a slot in the order the Generator
+    would: per step, its fractions into uniforms (None without midpoints),
+    then its normal block, in chunks of _CHUNK_DOUBLES and so bitwise as in
+    one call.  Before each chunk the thread waits while a split gradient is
+    in flight (`targets`)."""
+    for s in range(count):
+        if uniforms is not None:
+            rng.random(out=uniforms[s])  # bitwise uniform(size=...)
+        block = normals[s].reshape(-1)
+        for start in range(0, block.size, _CHUNK_DOUBLES):
+            _split_gradients.wait()
+            rng.standard_normal(out=block[start:start + _CHUNK_DOUBLES])
 
 
 class _Normals:
@@ -300,75 +288,66 @@ class _Normals:
             raise UlmcError(f"{self.method} step did not take the normals of its draw plan")
 
 
-class _DrawAhead:
-    """Iterates over a run's steps, yielding each step's `_draw_plan` draws:
-    (midpoint fractions or None, normal block), as views into a slot.
-
-    A second thread, the only user of rng while the run lasts, fills a ring
-    of two slots (allocated once, here) with the draws of the coming steps,
-    while the caller steps through the slot filled before.  A slot goes back
-    to the thread once the caller asks for the step after its last, so the
-    views may be overwritten but not kept past their step.  Use it as a
-    context manager: leaving it stops and joins the thread.
-    """
-
-    def __init__(self, rng, method, n_steps, chains, dim, R):
-        plan = _draw_plan(method, chains, dim, R)
-        self.n_steps = n_steps
-        self.per_slot = max(1, min(n_steps, _steps_per_slot(*plan)))
-        self._rng = rng
-        self._free, self._full = queue.Queue(), queue.Queue()
-        for _ in range(min(2, math.ceil(n_steps / self.per_slot))):
-            self._free.put(_Slot(self.per_slot, *plan))
-        self._thread = threading.Thread(target=self._produce, name="ulmc-draws", daemon=True)
-
-    def _produce(self):
-        try:
-            for start in range(0, self.n_steps, self.per_slot):
-                slot = self._free.get()
-                if slot is None:  # the run has ended early
-                    return
-                slot.fill(self._rng, min(self.per_slot, self.n_steps - start))
-                self._full.put(slot)
-        except BaseException as exc:  # raised again in the stepping thread
-            self._full.put(exc)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._free.put(None)
-        self._thread.join()
-
-    def __iter__(self):
-        for start in range(0, self.n_steps, self.per_slot):
-            slot = self._full.get()
-            if isinstance(slot, BaseException):
-                raise slot
-            for s in range(min(self.per_slot, self.n_steps - start)):
-                yield None if slot.uniforms is None else slot.uniforms[s], slot.normals[s]
-            self._free.put(slot)
-
-
 def _fresh_steps(method, h, n_steps, seed, chains, dim, R):
     """`_drive`'s default source of each step's (midpoint fractions or None,
-    increments): draws of the seed made one slot ahead (`_DrawAhead`), each
-    normal block going whole to its builder or stepper (`_Normals`)."""
+    increments), from the `_draw_plan` draws of the seed.
+
+    A second thread, the only user of the seed's Generator while the run
+    lasts, fills a ring of two slots, each as many whole steps as fit in
+    _SLOT_DOUBLES doubles (at least one), with the coming steps' draws
+    (`_fill`) while this generator steps through the slot filled before.  A
+    slot goes back to the thread once the step after its last is asked for,
+    so a yielded view must not be kept past its step.  Each normal block
+    goes whole to its builder or stepper (`_Normals`).  Closing the
+    generator stops and joins the thread; the thread's error is raised here.
+    """
+    uniform_shape, normal_shape = _draw_plan(method, chains, dim, R)
+    per_step = (math.prod(uniform_shape) if uniform_shape else 0) + math.prod(normal_shape)
+    per_slot = max(1, min(n_steps, _SLOT_DOUBLES // per_step))
+    starts = range(0, n_steps, per_slot)
+    free, full = queue.Queue(), queue.Queue()
+    for _ in range(min(2, len(starts))):
+        free.put((None if uniform_shape is None else np.empty((per_slot, *uniform_shape)),
+                  np.empty((per_slot, *normal_shape))))
+    draws = np.random.default_rng(seed)
+
+    def produce():
+        try:
+            for start in starts:
+                slot = free.get()
+                if slot is None:  # the run has ended early
+                    return
+                _fill(draws, *slot, min(per_slot, n_steps - start))
+                full.put(slot)
+        except BaseException as exc:  # raised again in the stepping thread
+            full.put(exc)
+
+    thread = threading.Thread(target=produce, name="ulmc-draws", daemon=True)
+    thread.start()
     cells = np.arange(R)
-    with _DrawAhead(np.random.default_rng(seed), method, n_steps, chains, dim, R) as ahead:
-        for fractions, normals in ahead:
-            rng = _Normals(method, normals)
-            if method == "rmm":
-                yield fractions, step_increments_batch(h, fractions, dim, rng)
-            elif method == "rmm_parallel":
-                alphas = (cells + fractions) / R
-                yield alphas, parallel_step_increments(h, R, alphas, dim, rng)
-            elif method == "exp_euler_uld":
-                yield None, exp_euler_increments_batch(h, chains, dim, rng)
-            else:
-                yield None, rng
-            rng.close()
+    try:
+        for start in starts:
+            slot = full.get()
+            if isinstance(slot, BaseException):
+                raise slot
+            uniforms, normals = slot
+            for s in range(min(per_slot, n_steps - start)):
+                fractions = None if uniforms is None else uniforms[s]
+                rng = _Normals(method, normals[s])
+                if method == "rmm":
+                    yield fractions, step_increments_batch(h, fractions, dim, rng)
+                elif method == "rmm_parallel":
+                    alphas = (cells + fractions) / R
+                    yield alphas, parallel_step_increments(h, R, alphas, dim, rng)
+                elif method == "exp_euler_uld":
+                    yield None, exp_euler_increments_batch(h, chains, dim, rng)
+                else:
+                    yield None, rng
+                rng.close()
+            free.put(slot)
+    finally:
+        free.put(None)
+        thread.join()
 
 
 def _path_steps(alphas, inc):

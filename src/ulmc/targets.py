@@ -164,11 +164,11 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
     for margins m_i = y_i x_i^T theta, since sigma(-m) = (1 + tanh(-m/2))/2: two
     matrix products and one in-place tanh, overflow-safe for any margin.
     A batch large enough to pay for a thread (see _SPLIT_WORK) is cut into
-    row blocks of _BLOCK_ROWS (halves, if smaller), which the calling thread
-    and one helper thread take from one shared queue until it is empty
-    (_split_blocks); a row's value does not depend on which thread computed
-    it.  While such a split is in flight a run's draw thread waits
-    (_split_gradients).
+    max(2, ceil(k / _BLOCK_ROWS)) row blocks whose sizes differ by at most
+    one row, which the calling thread and one helper thread take from one
+    shared queue until it is empty (_split_blocks); a row's value does not
+    depend on which thread computed it.  While such a split is in flight a
+    run's draw thread waits (_split_gradients).
 
     m = lam exactly; L from the Hessian bound (estimate_smoothness).  The
     minimizer is computed by gradient descent to ||grad|| <= 1e-8 so that
@@ -197,9 +197,9 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
         if (k // 2) * n * d < _SPLIT_WORK:
             _margin_products(scaled, yx, np.empty((*theta.shape[:-1], n)), s)
         else:
-            block = min(_BLOCK_ROWS, -(-k // 2))  # a small batch splits in halves
+            blocks = max(2, -(-k // _BLOCK_ROWS))
             _split_blocks(lambda rows, t: _margin_products(scaled[rows], yx, t, s[rows]),
-                          k, np.empty((2, block, n)))
+                          k, blocks, np.empty((2, -(-k // blocks), n)))
         return lam * theta - (label_sum + s) / (2.0 * n)
 
     def value(theta):
@@ -228,10 +228,12 @@ def logistic_target(data: Dataset, lam: float) -> TargetSpec:
 # joining the helper.
 _SPLIT_WORK = 2**20
 
-# Rows per block of a split batch.  At the bench's shape (1000 rows, n = 1000,
-# d = 50) under OpenBLAS 0.3.31, blocks of 64 or 128 rows gave the same bits
-# as the unsplit batch, while 32-row blocks, and a last block of 20 rows or
-# fewer, changed the last bits of their rows.
+# The most rows per block of a split batch, which is cut into at least two
+# blocks of equal size, to a row.  At the bench's n = 1000, d = 50 under
+# OpenBLAS 0.3.31, such blocks gave the bits of the unsplit batch for every
+# k probed (45, 300, 600, 769-899, 1000, 1024), while 32-row blocks, or a
+# short last block of 20 rows or fewer after 128-row ones, changed the last
+# bits of their rows.
 _BLOCK_ROWS = 128
 
 
@@ -279,25 +281,34 @@ class _InFlight:
 _split_gradients = _InFlight()
 
 
-def _split_blocks(work, k, buffers):
-    """work(rows, t) for every block of len(buffers[0]) rows of [0, k), the
-    last one short.  The calling thread and one helper thread, whose
-    products release the GIL, take blocks from one queue until it is empty,
-    each passing t, the first len(rows) rows of its own buffers[lane].  A
-    lane that starts late takes fewer blocks.  The helper is always joined,
-    and an exception from either lane is raised here."""
-    blocks, block = queue.SimpleQueue(), len(buffers[0])
-    for start in range(0, k, block):
-        blocks.put(slice(start, min(start + block, k)))
+def _split_blocks(work, k, count, buffers):
+    """work(rows, t) for every block of [0, k) cut into `count` blocks whose
+    sizes differ by at most one row.  The calling thread and one helper
+    thread, whose products release the GIL, take blocks from one queue until
+    it is empty, each passing t, the first len(rows) rows of its own
+    buffers[lane], which holds the largest block.  A lane that starts late
+    takes fewer blocks.  Once a block raises, neither lane takes another.
+    The helper is always joined, and an exception from either lane is raised
+    here."""
+    blocks = queue.SimpleQueue()
+    for i in range(count):
+        blocks.put(slice(k * i // count, k * (i + 1) // count))
     raised = []
 
+    def take():
+        try:
+            return blocks.get_nowait()
+        except queue.Empty:
+            return None
+
     def lane(buffer):
-        while True:
+        while (rows := take()) is not None:
             try:
-                rows = blocks.get_nowait()
-            except queue.Empty:
-                return
-            work(rows, buffer[:rows.stop - rows.start])
+                work(rows, buffer[:rows.stop - rows.start])
+            except BaseException:
+                while take() is not None:  # drain the queue: no block follows
+                    pass
+                raise
 
     def helper_lane():
         try:

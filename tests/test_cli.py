@@ -366,7 +366,7 @@ def test_flag_a_run_would_ignore_exits_2_before_any_work(argv, config, tmp_path,
     def no_draws(*args):
         raise AssertionError("the draw thread was set up")
 
-    monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+    monkeypatch.setattr(ulmc.samplers, "_fresh_steps", no_draws)
     cfg, out = tmp_path / "run.json", tmp_path / "o.csv"
     cfg.write_text(json.dumps(config))
     argv = [str(tmp_path / "missing.txt") if tok == "MISSING" else tok for tok in argv]
@@ -497,7 +497,7 @@ class TestConfigFile:
         def no_draws(*args):
             raise AssertionError("the draw thread was set up")
 
-        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        monkeypatch.setattr(ulmc.samplers, "_fresh_steps", no_draws)
         cfg, out = tmp_path / "shared.json", tmp_path / "o.csv"
         cfg.write_text(json.dumps(keys))
         assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
@@ -513,7 +513,7 @@ class TestConfigFile:
         def no_draws(*args):
             raise AssertionError("the draw thread was set up")
 
-        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        monkeypatch.setattr(ulmc.samplers, "_fresh_steps", no_draws)
         cfg, other, out = tmp_path / "run.json", tmp_path / "other.json", tmp_path / "o.csv"
         other.write_text(json.dumps({"seed": 1}))
         values = {"h": 0.05, "n-steps": 3, "quad-diag": "1"}
@@ -551,7 +551,7 @@ class TestSampleDriver:
         def no_draws(*args):
             raise AssertionError("the draw thread was set up")
 
-        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        monkeypatch.setattr(ulmc.samplers, "_fresh_steps", no_draws)
         threads = threading.active_count()
         out = tmp_path / "samples.csv"
         assert run_cli("sample", "--quad-diag", "1,4", "--h", h, "--n-steps", "3",

@@ -744,12 +744,17 @@ class TestOneDriver:
     def test_batch_run_equals_serial_loop_bitwise(self, method, R, length, monkeypatch):
         target = ulmc.quadratic_target([1.0, 4.0, 9.0], [0.3, -0.2, 0.1])
         x0 = np.linspace(-1.0, 1.0, 21).reshape(7, 3)
-        per_slot = ulmc.samplers._steps_per_slot(*ulmc.samplers._draw_plan(method, 7, 3, R))
+        # the steps whose draws fit in one slot of _SLOT_DOUBLES doubles
+        uniform_shape, normal_shape = ulmc.samplers._draw_plan(method, 7, 3, R)
+        per_step = (math.prod(uniform_shape) if uniform_shape else 0) + math.prod(normal_shape)
+        per_slot = max(1, ulmc.samplers._SLOT_DOUBLES // per_step)
         n_steps = {"none": 0, "one": 1, "slot and a half": per_slot + per_slot // 2,
                    "40 one-step slots": 40}[length]
         if length == "40 one-step slots":  # the ring changes hands at every step
             monkeypatch.setattr(ulmc.samplers, "_SLOT_DOUBLES", 1)
+        threads = threading.active_count()
         result = run_chain(target, method, 0.05, n_steps, seed=8, R=R, K=3, x0=x0)
+        assert threading.active_count() == threads  # the draw thread is joined
         expected = batch_hand_loop(target, method, 0.05, n_steps, 8, R, 3, x0)
         np.testing.assert_array_equal(result.final.x, expected.x)
         np.testing.assert_array_equal(result.final.v, expected.v)
@@ -837,7 +842,7 @@ class TestDrawThread:
         def no_draws(*args):
             raise AssertionError("the draw thread was set up")
 
-        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        monkeypatch.setattr(ulmc.samplers, "_fresh_steps", no_draws)
         target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
         err = self.run_and_catch(
             lambda: run_chain(target, "rmm_parallel", 0.05, 3, seed=0, R=R, K=K))
@@ -853,7 +858,7 @@ class TestDrawThread:
         def no_draws(*args):
             raise AssertionError("the draw thread was set up")
 
-        monkeypatch.setattr(ulmc.samplers, "_DrawAhead", no_draws)
+        monkeypatch.setattr(ulmc.samplers, "_fresh_steps", no_draws)
         target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
         err = self.run_and_catch(lambda: run(target))
         assert isinstance(err, error) and message in str(err)
@@ -900,10 +905,10 @@ class TestDrawThread:
     def test_draw_error_reaches_the_caller(self, monkeypatch):
         boom = MemoryError("no room for draws")
 
-        def fill(slot, rng, count):
+        def fill(rng, uniforms, normals, count):
             raise boom
 
-        monkeypatch.setattr(ulmc.samplers._Slot, "fill", fill)
+        monkeypatch.setattr(ulmc.samplers, "_fill", fill)
         target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
         err = self.run_and_catch(lambda: run_chain(target, "rmm", 0.05, 20, seed=0))
         assert err is boom
@@ -919,15 +924,16 @@ class TestDrawChunks:
     ], ids=["below a chunk", "one chunk", "18.3 chunks", "6 chunks and 6"])
     def test_chunked_fill_equals_one_draw(self, method, chains, dim):
         uniform_shape, normal_shape = ulmc.samplers._draw_plan(method, chains, dim, 1)
-        slot = ulmc.samplers._Slot(3, uniform_shape, normal_shape)
-        slot.normals[2] = np.nan  # not drawn: the fill stops after `count` steps
-        slot.fill(np.random.default_rng(6), 2)
+        uniforms = None if uniform_shape is None else np.empty((3, *uniform_shape))
+        normals = np.empty((3, *normal_shape))
+        normals[2] = np.nan  # not drawn: the fill stops after `count` steps
+        ulmc.samplers._fill(np.random.default_rng(6), uniforms, normals, 2)
         rng = np.random.default_rng(6)
         for s in range(2):
             if uniform_shape is not None:
-                np.testing.assert_array_equal(slot.uniforms[s], rng.random(uniform_shape))
-            np.testing.assert_array_equal(slot.normals[s], rng.standard_normal(normal_shape))
-        assert np.isnan(slot.normals[2]).all()
+                np.testing.assert_array_equal(uniforms[s], rng.random(uniform_shape))
+            np.testing.assert_array_equal(normals[s], rng.standard_normal(normal_shape))
+        assert np.isnan(normals[2]).all()
 
     def test_draw_thread_waits_out_a_split_gradient(self, monkeypatch):
         # a step of 3 x 3000 chains x d = 3 normals spans four chunks; a split

@@ -63,20 +63,27 @@ def split_rows(data):
 
 
 def blocks_of(rows):
-    """The block count of a split batch: _BLOCK_ROWS rows each, or halves."""
-    return -(-rows // min(targets._BLOCK_ROWS, -(-rows // 2)))
+    """The block count of a split batch: at most _BLOCK_ROWS rows each, and
+    at least two blocks."""
+    return max(2, -(-rows // targets._BLOCK_ROWS))
 
 
 @pytest.fixture
 def block_threads(monkeypatch):
     """(thread, products) of each `_margin_products` call of a logistic
     gradient, in order: one call per row block of a split batch, whose
-    products are a view of the call's whole (k, d) array, kept here."""
-    seen = []
+    products are a view of the call's whole (k, d) array, kept here.  The
+    blocks of one gradient call must differ in size by at most one row."""
+    seen, sizes = [], {}
     inner = targets._margin_products
 
     def recorded(scaled, yx, t, s):
-        seen.append((threading.current_thread(), s if s.base is None else s.base))
+        products = s if s.base is None else s.base
+        seen.append((threading.current_thread(), products))
+        # products is kept with its sizes, so its id names one call
+        call_sizes = sizes.setdefault(id(products), (products, set()))[1]
+        call_sizes.add(len(s))
+        assert max(call_sizes) - min(call_sizes) <= 1
         inner(scaled, yx, t, s)
 
     monkeypatch.setattr(targets, "_margin_products", recorded)
@@ -239,8 +246,8 @@ class TestLogisticTarget:
     @pytest.mark.parametrize("k", [1000, 1024, 45])
     def test_split_gradient_is_bitwise_the_same_on_either_lane(self, k, one_lane,
                                                                 block_threads):
-        # the bench's shape; k = 1000 ends in a short block, 1024 in a full
-        # one, and 45 rows split in two blocks of 23 and 22
+        # the bench's shape; k = 1000 splits in eight blocks of 125 rows,
+        # 1024 in eight of 128, and 45 in two blocks of 22 and 23
         rng = np.random.default_rng(15)
         data = random_logistic_data(rng, n=1000, d=50)
         target = logistic_target(data, 0.01)
@@ -317,6 +324,7 @@ class TestLogisticTarget:
             target.gradient(rng.standard_normal((split_rows(data), data.dim)))
         assert raised.value is boom
         assert is_helper(blocks[0]) == (one_lane == "helper")
+        assert len(blocks) == 1  # neither lane takes a block after the raise
         assert threading.active_count() == threads
         assert targets._split_gradients._count == 0  # the gate is released
 
