@@ -17,11 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import BrownianPathStore, _exp_tail, _is_count
-from .errors import ConfigError, UlmcError, UnsupportedTargetError
+from .brownian import BrownianPathStore, _exp_tail
+from .errors import ConfigError, UlmcError, UnsupportedTargetError, _require_count
 from .samplers import (  # noqa: F401  (bench/tracing.py patches the two steppers here)
     Schedule,
-    _check_chains,
     _check_run,
     _drive,
     _resolve_start,
@@ -438,18 +437,18 @@ def coupled_error_experiment(
     (n_steps, chains) midpoint fractions and the normal block that
     completes W1.  Every run steps through `samplers._drive`.  Reports the
     chain-mean of ||x_method(T) - x_ref(T)|| per row, a log-log slope per
-    method and the runs' summed gradient count.  A chain whose state or
-    error stops being finite raises UlmcError.
+    method and the runs' summed gradient count.  The counts, the step sizes
+    (each dividing T into its own step count and passing `_check_run`) and
+    the (d,) start (`_resolve_start`) are checked before the path is drawn;
+    a chain whose state or error stops being finite raises UlmcError.
     """
     h_values = [float(h) for h in h_values]
     if not h_values or not all(math.isfinite(h) and h > 0.0 for h in h_values):
         raise ConfigError(f"step sizes must be positive and finite, got {h_values}")
     if not (math.isfinite(total_time) and total_time > 0.0):
         raise ConfigError(f"total time must be positive and finite, got {total_time}")
-    if not _is_count(reference_refinement) or reference_refinement < 32:
-        raise ConfigError(f"reference refinement must be an integer >= 32, "
-                          f"got {reference_refinement!r}")
-    _check_chains(chains)
+    _require_count(reference_refinement, "reference refinement", 32, ConfigError)
+    _require_count(chains, "chain count", 1, ConfigError)
     if not methods:
         raise ConfigError("coupled experiment needs at least one method")
     for method in methods:
@@ -460,10 +459,15 @@ def coupled_error_experiment(
         n = total_time / h
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ConfigError(f"step size {h} does not divide T={total_time}")
-        steps_per_h[h] = int(round(n))
+        n = round(n)
+        if n in steps_per_h.values():
+            raise ConfigError(f"step sizes must not repeat: {h} takes {n} steps, "
+                              f"as an earlier one does")
+        steps_per_h[h] = n
+        _check_run(total_time / n)
     n_ref = steps_per_h[min(h_values)] * reference_refinement
 
-    start = np.tile(_resolve_start(target, x0), (chains, 1))
+    start = _resolve_start(target, x0, chains)
     rng = np.random.default_rng(seed)
     path = BrownianPathStore(total_time, n_ref, chains, target.dim, rng)
     ref, grad_evals = _drive(target, "exp_euler_uld", total_time / n_ref, n_ref, None, start,

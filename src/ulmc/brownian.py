@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ScheduleError, UlmcError
+from .errors import ScheduleError, UlmcError, _require_count
 
 __all__ = [
     "IntervalStats",
@@ -128,17 +128,6 @@ def _cell_law(t):
     q0 = 0.5 * _exp_tail(-2.0 * t, 2) / math.sqrt(t)  # Cov(W2, H) / sqrt(t)
     r0 = -0.5 * math.expm1(-2.0 * t) / math.sqrt(t)  # Cov(W3, H) / sqrt(t)
     return _CellLaw(t, excess, rho, decay, q0, r0, decay * math.sqrt(rho))
-
-
-def _is_count(value):
-    """A Python or numpy integer >= 0; bool is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
-
-
-def _require_midpoint_count(R):
-    """The rule for the midpoint count R: a count >= 1."""
-    if not _is_count(R) or R < 1:
-        raise ScheduleError(f"midpoint count must be an integer >= 1, got {R!r}")
 
 
 def _require_length(t):
@@ -419,8 +408,8 @@ def _require_cells(alphas, R):
 def parallel_step_increments(h, R, alphas, dim, rng) -> StepIncrements:
     """Sample (W1_1..W1_R, W2, W3) jointly consistent with one path.
 
-    R is a count >= 1 (`_require_midpoint_count`, ScheduleError otherwise)
-    and alpha_i must lie in its cell [(i-1)/R, i/R].  [0, h] is R equal
+    R is a count >= 1 (`_require_count`, ScheduleError otherwise) and
+    alpha_i must lie in its cell [(i-1)/R, i/R].  [0, h] is R equal
     cells; one (3R, chains, dim) block is drawn, per cell its (z0, z1)
     normals, left to right, then one normal per midpoint, which completes
     W1_i given its cell's (H, G) (`_increments`), so R = 1 draws and builds
@@ -428,7 +417,7 @@ def parallel_step_increments(h, R, alphas, dim, rng) -> StepIncrements:
     dim), or (chains, R) for a batch, when W1 has shape (chains, R, dim).
     """
     _require_length(h)
-    _require_midpoint_count(R)
+    _require_count(R, "midpoint count", 1, ScheduleError)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim not in (1, 2) or alphas.shape[-1] != R:
         raise UlmcError(f"expected {R} midpoints, got shape {alphas.shape}")
@@ -452,8 +441,7 @@ class BrownianPathStore:
 
     def __init__(self, total_time, n_cells, chains, dim, rng):
         _require_length(total_time)
-        if not _is_count(n_cells) or n_cells < 1:
-            raise UlmcError(f"cell count must be an integer >= 1, got {n_cells!r}")
+        _require_count(n_cells, "cell count", 1, UlmcError)
         self.n_cells = int(n_cells)
         self.cell = float(total_time) / self.n_cells
         self.law = _cell_law(self.cell)
@@ -473,9 +461,10 @@ class BrownianPathStore:
         without them W1 is None.  n_steps must be an integer >= 1 that
         divides n_cells.
         """
-        if not _is_count(n_steps) or n_steps < 1 or self.n_cells % n_steps:
-            raise UlmcError(f"step count must be an integer >= 1 dividing the path's "
-                            f"{self.n_cells} cells, got {n_steps!r}")
+        _require_count(n_steps, "step count", 1, UlmcError)
+        if self.n_cells % n_steps:
+            raise UlmcError(f"step count {n_steps} does not divide the path's "
+                            f"{self.n_cells} cells")
         k, (chains, dim) = self.n_cells // n_steps, self.normals.shape[2:]
         if alphas is not None and np.shape(alphas) != (n_steps, chains):
             raise UlmcError(f"expected ({n_steps}, {chains}) midpoint fractions, "

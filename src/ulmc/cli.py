@@ -27,10 +27,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import coupled_error_experiment, stationary_error_study
-from .errors import ConfigError, ScheduleError, UlmcError
+from .errors import ConfigError, ScheduleError, UlmcError, _require_count
 from .samplers import (
     METHODS,
-    _check_chains,
     _resolve_start,
     run_chain,
     schedule,
@@ -233,7 +232,7 @@ def cmd_sample(args) -> int:
     if args.epsilon is not None and (args.r_midpoints, args.k_iters) != (1, 2):
         raise ConfigError("--epsilon sets R and K: give it without --r-midpoints and --k-iters")
     _only_with(args, args.epsilon is not None, "without --epsilon", c_const=0.5)
-    _check_chains(args.chains)
+    _require_count(args.chains, "chain count", 1, ConfigError)
     target = _make_target(args)
     if args.epsilon is not None:
         rule = schedule_parallel if args.method == "rmm_parallel" else schedule
@@ -243,9 +242,8 @@ def cmd_sample(args) -> int:
     else:
         h, n_steps = args.h, args.n_steps
 
-    start = np.tile(_resolve_start(target, None), (args.chains, 1))
-    result = run_chain(target, args.method, h, n_steps, args.seed,
-                       R=args.r_midpoints, K=args.k_iters, x0=start)
+    result = run_chain(target, args.method, h, n_steps, args.seed, R=args.r_midpoints,
+                       K=args.k_iters, x0=_resolve_start(target, None, args.chains))
     _write_table(
         args,
         ["chain"] + [f"x{i}" for i in range(target.dim)],

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count rule that
+every count (steps, midpoints, sweeps, chains, cells, dimensions) obeys."""
+
+import numbers
 
 
 class UlmcError(Exception):
@@ -23,3 +26,10 @@ class ScheduleError(UlmcError):
 
 class ConfigError(UlmcError):
     """Run configuration is inconsistent or incomplete."""
+
+
+def _require_count(value, what, least, error):
+    """value must be a Python or numpy integer >= least (a bool is not one);
+    otherwise raises error, naming the count as `what`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")

@@ -42,17 +42,15 @@ import numpy as np
 from .brownian import (  # noqa: F401  (one-chain adapters stay importable here)
     StepIncrements,
     _exp_tail,
-    _is_count,
     _require_cells,
     _require_fractions,
-    _require_midpoint_count,
     exp_euler_increments,
     exp_euler_increments_batch,
     parallel_step_increments,
     step_increments,
     step_increments_batch,
 )
-from .errors import ConfigError, ScheduleError, UlmcError
+from .errors import ConfigError, ScheduleError, UlmcError, _require_count
 from .targets import GradientCounter, TargetSpec, _split_gradients
 
 __all__ = [
@@ -98,7 +96,7 @@ class Schedule:
     """Resolved run parameters: step size h, iterations N, u = 1/L.
 
     R is the midpoint count and K the fixed-point depth (1 and 2 for the
-    serial algorithm).  N, R and K are counts (`_is_count`).
+    serial algorithm).  N, R and K are counts (`_require_count`).
     """
 
     h: float
@@ -110,8 +108,7 @@ class Schedule:
     def __post_init__(self):
         if not (0.0 < self.h <= H_MAX_SCHEDULE + 1e-12):
             raise ScheduleError(f"schedule step size must be in (0, 1/20], got {self.h}")
-        if not _is_count(self.N):
-            raise ScheduleError(f"iteration count must be an integer >= 0, got {self.N!r}")
+        _require_count(self.N, "iteration count", 0, ScheduleError)
         if not (0.0 < self.u < math.inf):
             raise ScheduleError(f"u must be positive and finite, got {self.u}")
         _check_midpoints(self.R, self.K)
@@ -145,22 +142,15 @@ def _check_run(h, n_steps=0, record_every=None):
     that every stepper, run and oracle applies."""
     if not (0.0 < h < H_MAX_STEPPER):
         raise ScheduleError(f"step size must be in (0, {H_MAX_STEPPER}), got {h}")
-    if not _is_count(n_steps):
-        raise ScheduleError(f"iteration count must be an integer >= 0, got {n_steps!r}")
-    if record_every is not None and not _is_count(record_every):
-        raise ConfigError(f"record_every must be an integer >= 0, got {record_every!r}")
+    _require_count(n_steps, "iteration count", 0, ScheduleError)
+    if record_every is not None:
+        _require_count(record_every, "record_every", 0, ConfigError)
 
 
 def _check_midpoints(R, K):
     """The count rule for the midpoint count R >= 1 and fixed-point depth K >= 2."""
-    _require_midpoint_count(R)
-    if not _is_count(K) or K < 2:
-        raise ScheduleError(f"fixed-point depth must be an integer >= 2, got {K!r}")
-
-
-def _check_chains(chains):
-    if not _is_count(chains) or chains < 1:
-        raise ConfigError(f"chain count must be an integer >= 1, got {chains!r}")
+    _require_count(R, "midpoint count", 1, ScheduleError)
+    _require_count(K, "fixed-point depth", 2, ScheduleError)
 
 
 def _check_step(h, state: SamplerState, target: TargetSpec, inc=None, w1_shape=None):
@@ -218,12 +208,23 @@ def _flow(state, decay, u, w_x, grad_x, w_v, grad_v, inc):
     return SamplerState(x=x, v=v, step=state.step + 1)
 
 
-def _resolve_start(target: TargetSpec, x0):
-    if x0 is not None:
-        return np.asarray(x0, dtype=float)
-    if target.minimizer is None:
-        raise ConfigError("target has no minimizer and no start point was given")
-    return np.asarray(target.minimizer, dtype=float)
+def _resolve_start(target: TargetSpec, x0, chains=None):
+    """The start rule: a run's finite (rows, d) start, from x0 or, when x0
+    is None, the target's minimizer.  With `chains`, it must be one (d,)
+    point, copied to `chains` rows; without, a (d,) point is one row and a
+    (chains >= 1, d) batch its own rows.  UlmcError otherwise."""
+    if x0 is None:
+        if target.minimizer is None:
+            raise ConfigError("target has no minimizer and no start point was given")
+        x0 = target.minimizer
+    x = np.asarray(x0, dtype=float)
+    batch = x.ndim == 2 and chains is None and len(x) >= 1
+    if x.shape[-1:] != (target.dim,) or not (x.ndim == 1 or batch):
+        want = "(d,)" if chains is not None else "(d,) or (chains >= 1, d)"
+        raise UlmcError(f"start shape {x.shape} is not {want} for target d={target.dim}")
+    if not np.isfinite(x).all():
+        raise UlmcError("chain start is not finite")
+    return np.tile(x, (chains, 1)) if chains is not None else np.atleast_2d(x)
 
 
 def _require_finite(state, method):
@@ -360,23 +361,20 @@ def _path_steps(alphas, inc):
 def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record, path=None):
     """The one step loop: n_steps of one method on a (chains, d) batch.
 
-    Chains start at x with zero velocity.  Each step takes its midpoint
-    fractions (or None) and increments from fresh draws of the seed
-    (`_fresh_steps`), or from the rows of path = (alphas, increments) of a
-    `BrownianPathStore` (`_path_steps`).  h, n_steps, R, K and the state's
-    shape are checked, and the start must be finite, before any draw.  After
-    each step the state must be finite; every record_every steps
-    record(step, x, v) is called.  Returns the final state and the audited
-    gradient count.
+    Chains start at x, rows that `_resolve_start` returned, with zero
+    velocity.  Each step takes its midpoint fractions (or None) and
+    increments from fresh draws of the seed (`_fresh_steps`), or from the
+    rows of path = (alphas, increments) of a `BrownianPathStore`
+    (`_path_steps`).  The method, h, n_steps, record_every, R and K are
+    checked before any draw.  After each step the state must be finite;
+    every record_every steps record(step, x, v) is called.  Returns the
+    final state and the audited gradient count.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     _check_run(h, n_steps, record_every)
     _check_midpoints(R, K)
     state = SamplerState(x=x, v=np.zeros_like(x), step=0)
-    _check_step(h, state, target)
-    if not np.isfinite(x).all():
-        raise UlmcError(f"{method} chain start is not finite")
     counter = GradientCounter(target)
     counted = counter.wrapped()
     steps = _path_steps(*path) if path else _fresh_steps(method, h, n_steps, seed, *x.shape, R)
@@ -412,22 +410,21 @@ def run_chain(
     """Drive one chain of any method for n_steps steps of size h.
 
     Methods: see METHODS.  Starts at the target minimizer (or x0) with zero
-    velocity; an x0 of shape (chains, d) runs that batch of chains from one
-    stream, and the result then holds (chains, d) arrays.  Randomness per
-    step is drawn in a fixed order (midpoint fractions first, then
-    Gaussians), so a run is reproducible from the seed alone.  grad_evals
-    reports the audited oracle count.
+    velocity; an x0 of shape (chains >= 1, d) runs that batch of chains from
+    one stream, and the result then holds (chains, d) arrays
+    (`_resolve_start`).  Randomness per step is drawn in a fixed order
+    (midpoint fractions first, then Gaussians), so a run is reproducible
+    from the seed alone.  grad_evals reports the audited oracle count.
     """
     x = _resolve_start(target, x0)
-    history = [(0, x.copy(), np.zeros_like(x))] if record_every else None
+    shape = x.shape if np.ndim(x0) == 2 else x.shape[1:]
+    history = [(0, x.reshape(shape).copy(), np.zeros(shape))] if record_every else None
 
     def record(step, xs, vs):
-        history.append((step, xs.reshape(x.shape).copy(), vs.reshape(x.shape).copy()))
+        history.append((step, xs.reshape(shape).copy(), vs.reshape(shape).copy()))
 
-    state, grad_evals = _drive(
-        target, method, h, n_steps, seed, np.atleast_2d(x), R, K, record_every, record
-    )
-    final = SamplerState(state.x.reshape(x.shape), state.v.reshape(x.shape), state.step)
+    state, grad_evals = _drive(target, method, h, n_steps, seed, x, R, K, record_every, record)
+    final = SamplerState(state.x.reshape(shape), state.v.reshape(shape), state.step)
     return RunResult(final=final, grad_evals=grad_evals, history=history)
 
 
@@ -465,12 +462,13 @@ def rmm_run_ensemble(
     """Propagate `chains` independent randomized-midpoint chains in lockstep.
 
     The same run as run_chain(target, "rmm", ...) from `chains` copies of
-    the start: each step draws for the whole ensemble from one stream.
-    Records empirical (x, v) moments, not states, every record_every steps
-    when requested, which takes two chains or more.
+    the (d,) start (`_resolve_start`): each step draws for the whole
+    ensemble from one stream.  Records empirical (x, v) moments, not
+    states, every record_every steps when requested, which takes two chains
+    or more.
     """
     _check_schedule(sched, target)
-    _check_chains(chains)
+    _require_count(chains, "chain count", 1, ConfigError)
     if record_every and chains < 2:
         raise ConfigError(f"moment checkpoints need two chains or more, got {chains}")
     result = EnsembleResult(x=None, v=None, grad_evals=0)
@@ -479,7 +477,7 @@ def rmm_run_ensemble(
         z = np.concatenate([x, v], axis=1)
         result.checkpoints.append((step, z.mean(axis=0), np.cov(z, rowvar=False)))
 
-    x = np.tile(_resolve_start(target, x0), (chains, 1))
+    x = _resolve_start(target, x0, chains)
     state, result.grad_evals = _drive(
         target, "rmm", sched.h, sched.N, seed, x, 1, 2, record_every, record
     )
@@ -503,7 +501,7 @@ def parallel_rmm_step(
     the sweep parallelizes); the final update spends R more evaluations,
     R*K per chain in total.  alphas has shape (R,), or (chains, R) for a
     (chains, d) state, alpha_i in its cell [(i-1)/R, i/R], and incs.W1 one
-    more axis of R.  R >= 1 and K >= 2 are counts (`_is_count`).  With
+    more axis of R.  R >= 1 and K >= 2 are counts (`_check_midpoints`).  With
     R=1, K=2 this reproduces rmm_step exactly given the same draws.
 
     A sweep builds midpoint i's gradient integral from prefix sums over the

@@ -17,8 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .brownian import _is_count
-from .errors import DatasetFormatError, InvalidTargetError, UlmcError
+from .errors import DatasetFormatError, InvalidTargetError, UlmcError, _require_count
 
 __all__ = [
     "TargetSpec",
@@ -36,7 +35,7 @@ __all__ = [
 class TargetSpec:
     """A sampling target given by its gradient oracle and convexity constants.
 
-    dim: dimension d, an integer >= 1 (`_is_count`).
+    dim: dimension d, an integer >= 1 (`_require_count`).
     gradient: maps (d,) or (k, d) arrays to arrays of the same shape.
     smoothness: finite Lipschitz constant L of the gradient.
     strong_convexity: strong convexity constant m, 0 < m <= L.
@@ -52,8 +51,7 @@ class TargetSpec:
     value: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
-        if not _is_count(self.dim) or self.dim < 1:
-            raise InvalidTargetError(f"dimension must be an integer >= 1, got {self.dim!r}")
+        _require_count(self.dim, "dimension", 1, InvalidTargetError)
         if not (0.0 < self.strong_convexity <= self.smoothness < np.inf):
             raise InvalidTargetError(
                 f"need 0 < m <= L < inf, got m={self.strong_convexity}, L={self.smoothness}"
@@ -288,36 +286,26 @@ def _split_blocks(work, k, count, buffers):
     it is empty, each passing t, the first len(rows) rows of its own
     buffers[lane], which holds the largest block.  A lane that starts late
     takes fewer blocks.  Once a block raises, neither lane takes another.
-    The helper is always joined, and an exception from either lane is raised
-    here."""
+    The helper is always joined, and the first exception from either lane is
+    raised here."""
     blocks = queue.SimpleQueue()
     for i in range(count):
         blocks.put(slice(k * i // count, k * (i + 1) // count))
     raised = []
 
-    def take():
-        try:
-            return blocks.get_nowait()
-        except queue.Empty:
-            return None
-
     def lane(buffer):
-        while (rows := take()) is not None:
+        while not raised:
+            try:
+                rows = blocks.get_nowait()
+            except queue.Empty:
+                return
             try:
                 work(rows, buffer[:rows.stop - rows.start])
-            except BaseException:
-                while take() is not None:  # drain the queue: no block follows
-                    pass
-                raise
-
-    def helper_lane():
-        try:
-            lane(buffers[1])
-        except BaseException as exc:
-            raised.append(exc)
+            except BaseException as exc:
+                raised.append(exc)
 
     with _split_gradients.held():
-        helper = threading.Thread(target=helper_lane, name="ulmc-gradient")
+        helper = threading.Thread(target=lane, args=(buffers[1],), name="ulmc-gradient")
         helper.start()
         try:
             lane(buffers[0])

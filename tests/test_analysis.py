@@ -625,6 +625,32 @@ class TestCoupledExperiment:
         assert all(math.isnan(slope) for slope in res.slopes.values())
         assert set(res.slopes) == {"rmm", "exp_euler_uld"}
 
+    @pytest.mark.parametrize("h_values, total_time, x0, error, message", [
+        ([1.5], 3.0, None, ScheduleError, "step size must be in (0, 1.0), got 1.5"),
+        ([0.5], 1.0, [math.nan, 0.0], UlmcError, "chain start is not finite"),
+        ([0.5], 1.0, [0.0, 0.0, 0.0], UlmcError, "start shape (3,) is not (d,)"),
+        ([0.5], 1.0, np.zeros((2, 2)), UlmcError, "start shape (2, 2) is not (d,)"),
+        ([0.1, 0.1, 0.2], 1.0, None, ConfigError, "step sizes must not repeat"),
+        ([0.1, 0.1 * (1 + 1e-12)], 1.0, None, ConfigError, "takes 10 steps"),
+    ], ids=["h 1.5", "non-finite start", "start of d = 3", "2-d start", "repeated h",
+            "h repeated to rounding"])
+    def test_bad_inputs_raise_before_the_path_is_drawn(self, h_values, total_time, x0,
+                                                       error, message, monkeypatch):
+        stores = []
+
+        def spy(*args):
+            stores.append(ulmc.brownian.BrownianPathStore(*args))
+            return stores[-1]
+
+        monkeypatch.setattr(analysis, "BrownianPathStore", spy)
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        with pytest.raises(error) as raised:
+            ulmc.coupled_error_experiment(target, h_values, total_time, seed=0, chains=2,
+                                          x0=x0)
+        assert message in str(raised.value) and stores == []
+        ulmc.coupled_error_experiment(target, [0.5], 1.0, seed=0, chains=2)
+        assert len(stores) == 1  # the spy sees the one store of a good run
+
     def test_rejects_low_refinement(self):
         target = ulmc.quadratic_target([1.0], [0.0])
         with pytest.raises(ulmc.ConfigError):

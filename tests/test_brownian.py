@@ -671,7 +671,7 @@ class TestPathStore:
 
     def test_rejects_steps_that_do_not_divide_the_cells(self):
         store = BrownianPathStore(1.0, 8, 1, 2, np.random.default_rng(21))
-        with pytest.raises(UlmcError):
+        with pytest.raises(UlmcError, match="step count 3 does not divide the path's 8"):
             store.increments(3)
 
     @pytest.mark.parametrize("n_steps", [4.0, np.float64(4.0), True, 0, -4],

@@ -420,10 +420,11 @@ class TestCoupledErrorCommand:
         assert len(slopes) == 2
 
     def test_incommensurate_grid_is_config_error(self, tmp_path):
-        # step sizes that do not divide T, and grids with no valid step size
+        # step sizes that do not divide T, grids with no valid step size, a
+        # repeated step size and one the steppers reject
         out = tmp_path / "coupled.csv"
         for h, total_time in (("0.3", "1"), (",", "1"), ("0", "1"), ("nan", "1"),
-                              ("-0.1", "1"), ("0.1", "0")):
+                              ("-0.1", "1"), ("0.1", "0"), ("0.1,0.1", "1"), ("1.5", "3")):
             assert run_cli(
                 "coupled-error", "--quad-diag", "1", "--h", h,
                 "--total-time", total_time, "--chains", "1", "--out", str(out),

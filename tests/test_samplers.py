@@ -853,7 +853,20 @@ class TestDrawThread:
          ulmc.UlmcError, "start is not finite"),
         (lambda t: ulmc.rmm_run_ensemble(t, Schedule(0.05, 4, 0.25), 1, 0, record_every=2),
          ConfigError, "two chains"),
-    ], ids=["non-finite start", "one-chain checkpoints"])
+        (lambda t: run_chain(t, "rmm", 0.05, 5, seed=0, x0=np.zeros((0, 2))),
+         ulmc.UlmcError, "start shape (0, 2) is not (d,) or (chains >= 1, d)"),
+        (lambda t: run_chain(t, "lmc", 0.05, 0, seed=0, x0=np.zeros((0, 2))),
+         ulmc.UlmcError, "start shape (0, 2)"),
+        (lambda t: run_chain(t, "rmm", 0.05, 5, seed=0, x0=np.zeros((2, 2, 2))),
+         ulmc.UlmcError, "start shape (2, 2, 2)"),
+        (lambda t: run_chain(t, "rmm", 0.05, 5, seed=0, x0=np.zeros(3)),
+         ulmc.UlmcError, "start shape (3,) is not (d,) or (chains >= 1, d) for target d=2"),
+        (lambda t: ulmc.rmm_run_ensemble(t, Schedule(0.05, 3, 0.25), 4, 0,
+                                         x0=np.zeros((3, 2))),
+         ulmc.UlmcError, "start shape (3, 2) is not (d,) for target d=2"),
+    ], ids=["non-finite start", "one-chain checkpoints", "no start rows",
+            "no start rows, no steps", "3-d start", "start of d = 3",
+            "ensemble of a 2-d start"])
     def test_bad_inputs_raise_before_any_draw(self, run, error, message, monkeypatch):
         def no_draws(*args):
             raise AssertionError("the draw thread was set up")

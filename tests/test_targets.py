@@ -400,6 +400,10 @@ class TestLogisticTarget:
             _minimize_gradient_descent(target.gradient, 2, 10.0, 1.0, max_iter=3)
         x = _minimize_gradient_descent(target.gradient, 2, 10.0, 1.0)
         np.testing.assert_allclose(x, target.minimizer, atol=1e-8)
+        # with L = m the one step lands on the minimizer as the iterations run out
+        exact = quadratic_target([2.0, 2.0], [1.0, -2.0])
+        x = _minimize_gradient_descent(exact.gradient, 2, 2.0, 2.0, max_iter=1)
+        np.testing.assert_array_equal(x, exact.minimizer)
 
     def test_nonfinite_gradient_raises(self):
         # a nan gradient stops the descent at once, not after max_iter
