@@ -27,7 +27,6 @@ from .brownian import (
     BrownianPathStore,
     IntervalStats,
     StepIncrements,
-    compose,
     parallel_step_increments,
     sample_interval,
     split,

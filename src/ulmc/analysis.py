@@ -12,7 +12,7 @@ the shared path, so they are audited and checked as fresh-draw runs are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,7 +88,6 @@ class CoupledErrorResult:
 
     rows: list
     slopes: dict
-    errors: dict = field(default_factory=dict)  # (h, method) -> per-chain errors
     grad_evals: int = 0
 
 
@@ -472,7 +471,7 @@ def coupled_error_experiment(
     path = BrownianPathStore(total_time, n_ref, chains, target.dim, rng)
     ref, grad_evals = _drive(target, "exp_euler_uld", total_time / n_ref, n_ref, None, start,
                              1, 2, None, None, path=(None, path.increments(n_ref)))
-    errors = {}
+    rows = []
     for h in h_values:
         n = steps_per_h[h]
         alphas = rng.uniform(size=(n, chains)) if "rmm" in methods else None
@@ -484,10 +483,7 @@ def coupled_error_experiment(
             error = np.linalg.norm(state.x - ref.x, axis=1)
             if not np.isfinite(error).all():  # finite states can still overflow here
                 raise UlmcError(f"{method} error at h={h} is not finite: chains diverged")
-            errors[(h, method)] = error
-
-    rows = [(h, method, float(np.mean(errors[(h, method)])))
-            for h in h_values for method in methods]
+            rows.append((h, method, float(np.mean(error))))
     slopes = {}
     for method in methods:
         logs_h = np.log([h for h, m, _ in rows if m == method])
@@ -496,7 +492,7 @@ def coupled_error_experiment(
             slopes[method] = float(np.polyfit(logs_h, logs_e, 1)[0])
         else:
             slopes[method] = float("nan")
-    return CoupledErrorResult(rows=rows, slopes=slopes, errors=errors, grad_evals=grad_evals)
+    return CoupledErrorResult(rows=rows, slopes=slopes, grad_evals=grad_evals)
 
 
 def _weighted_products(centred, weights, k):

@@ -14,7 +14,7 @@ coordinate, (H, G) is a centered bivariate Gaussian with
 
 Anchoring the weight locally keeps every stored value finite no matter how
 far the interval sits along the path; re-anchoring to another origin a is
-the scalar factor e^{2a}, which is what `compose` applies.
+the scalar factor e^{2a}.
 
 `split` conditions in the independent coordinates (H, R = G - gamma H),
 inverting no matrix.  Closed forms that cancel leading orders are written in
@@ -45,7 +45,6 @@ __all__ = [
     "StepIncrements",
     "gh_covariance",
     "sample_interval",
-    "compose",
     "split",
     "step_increments",
     "step_increments_batch",
@@ -137,18 +136,15 @@ def _require_length(t):
 
 @dataclass(frozen=True)
 class IntervalStats:
-    """Brownian functionals (H, G) of one interval, weight anchored locally.
-
-    length 0 is the composition identity (H = G = 0).
-    """
+    """Brownian functionals (H, G) of one interval of positive, finite
+    length, weight anchored locally."""
 
     length: float
     H: np.ndarray
     G: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.length) or self.length < 0.0:
-            raise UlmcError(f"interval length must be >= 0, got {self.length}")
+        _require_length(self.length)
 
 
 class StepIncrements(NamedTuple):
@@ -187,19 +183,6 @@ def sample_interval(length, dim, rng) -> IntervalStats:
     return IntervalStats(length=float(length), H=h[0], G=g[0])
 
 
-def compose(left: IntervalStats, right: IntervalStats) -> IntervalStats:
-    """Concatenate adjacent intervals: H adds, G re-anchors the right part."""
-    if left.length == 0.0:
-        return IntervalStats(right.length, right.H.copy(), right.G.copy())
-    if right.length == 0.0:
-        return IntervalStats(left.length, left.H.copy(), left.G.copy())
-    return IntervalStats(
-        length=left.length + right.length,
-        H=left.H + right.H,
-        G=left.G + np.exp(2.0 * left.length) * right.G,
-    )
-
-
 def _split_terms(t, tau, rest):
     """Terms of the precision form of a length-t interval split at tau, with
     rest = t - tau, elementwise: (gamma_l - 1, rho_l, gamma_r - 1, rho_r, b,
@@ -219,9 +202,9 @@ def split(parent: IntervalStats, at, rng):
 
     Samples the left child from the exact conditional Gaussian given
     (H_parent, G_parent), then completes the right child through the
-    composition constraints, so compose(left, right) returns the parent up
-    to rounding.  Marginally each child is distributed exactly as a fresh
-    interval of its length.
+    constraints H_p = H_l + H_r and G_p = G_l + e^{2 tau} G_r, which the
+    children meet up to rounding.  Marginally each child is distributed
+    exactly as a fresh interval of its length.
 
     Per child, R = G - gamma H is independent of H with variance rho.  The
     parent fixes H_r = H_p - H_l and e^{2 tau} R_r = c - b H_l - R_l, with

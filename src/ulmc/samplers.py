@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import (  # noqa: F401  (one-chain adapters stay importable here)
+from .brownian import (  # noqa: F401  (the adapters stay here for bench/tracing.py to patch)
     StepIncrements,
     _exp_tail,
     _require_cells,
@@ -112,10 +112,6 @@ class Schedule:
         if not (0.0 < self.u < math.inf):
             raise ScheduleError(f"u must be positive and finite, got {self.u}")
         _check_midpoints(self.R, self.K)
-
-    @property
-    def delta(self) -> float:
-        return self.h / self.R
 
 
 @dataclass

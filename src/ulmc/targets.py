@@ -365,8 +365,9 @@ def load_libsvm(path, scale_features: bool = False) -> Dataset:
     """Parse a LIBSVM sparse text file into a dense Dataset.
 
     Lines are "label idx:val idx:val ..." with 1-based indices; d is the
-    largest index seen.  Label alphabets {-1,+1}, {0,1} and {1,2} are
-    accepted, mapping the smaller value to -1.  With scale_features, each
+    largest index seen.  The labels must fit exactly one of the alphabets
+    {-1,+1}, {0,1} and {1,2}, whose smaller value maps to -1; all-1 labels
+    fit all three and raise DatasetFormatError.  With scale_features, each
     column is affinely mapped to [-1, 1] (constant columns map to 0).
     """
     entries = []  # (label, {col: val}) per line
@@ -406,21 +407,15 @@ def load_libsvm(path, scale_features: bool = False) -> Dataset:
 
     raw_labels = np.array([label for label, _ in entries])
     alphabet = sorted(set(raw_labels.tolist()))
-    if len(alphabet) > 2:
-        raise DatasetFormatError(
-            f"{path}: more than two distinct labels: {alphabet}"
-        )
-    known = ({-1.0, 1.0}, {0.0, 1.0}, {1.0, 2.0})
-    for pair in known:
-        if set(alphabet) <= pair:
-            lo, hi = sorted(pair)
-            labels = np.where(raw_labels == lo, -1.0, 1.0)
-            break
-    else:
+    # all-1 labels fit every pair, and would be +1 or -1 by the pair's choice
+    lows = [lo for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
+            if set(alphabet) <= {lo, hi}]
+    if len(lows) != 1:
         raise DatasetFormatError(
             f"{path}: unrecognized label alphabet {alphabet}; "
-            "expected subsets of {-1,+1}, {0,1} or {1,2}"
+            "expected a subset of exactly one of {-1,+1}, {0,1} or {1,2}"
         )
+    labels = np.where(raw_labels == lows[0], -1.0, 1.0)
 
     features = np.zeros((len(entries), max_index))
     for i, (_, row) in enumerate(entries):

@@ -433,6 +433,39 @@ class TestMomentOracle:
             np.diag(trace.covs[-1]), [1.0, 1.0], rtol=5e-5
         )
 
+    @pytest.mark.parametrize("stepper", ["rmm_step", "parallel_rmm_step"])
+    def test_probed_step_matches_the_hand_maps(self, stepper):
+        # On a centered diagonal quadratic a step is linear in (x, v, W1, W2,
+        # W3) at a fixed fraction: chain k n + j carries the unit input k in
+        # every coordinate at node j, so its output is column k of the map.
+        diag = np.linspace(1.0, 100.0, 5)
+        target = ulmc.quadratic_target(diag, np.zeros(5))
+        h, u = 0.1, 1.0 / target.smoothness
+        alphas, weights = analysis._gauss_legendre_01(128)
+        n = len(alphas)
+        unit = np.repeat(np.eye(5), n, axis=0)[:, :, None] * np.ones(5)  # (5 n, 5, d)
+        state = ulmc.SamplerState(x=unit[:, 0], v=unit[:, 1])
+        inc = ulmc.StepIncrements(*unit[:, 2:].transpose(1, 0, 2))
+        fractions = np.tile(alphas, 5)
+        if stepper == "rmm_step":
+            out = ulmc.rmm_step(state, target, h, fractions, inc)
+        else:
+            inc = inc._replace(W1=inc.W1[:, None])
+            out = ulmc.parallel_rmm_step(state, target, h, 1, 2, fractions[:, None], inc)
+        # (d, n, 2 outputs, 5 inputs)
+        maps = np.stack([out.x, out.v]).reshape(2, 5, n, 5).transpose(3, 2, 0, 1)
+        T, B = maps[..., :2], maps[..., 2:] / math.sqrt(u)
+        probed = (
+            np.einsum("n,knij->kij", weights, T),
+            np.einsum("n,knij,knab->kiajb", weights, T, T).reshape(5, 4, 4),
+            u * np.einsum("n,knia,nab,knjb->kij", weights, B, w_covariance(h, alphas), B),
+        )
+        hand = analysis._rmm_alpha_averaged_maps(diag, h, u, n)
+        errors = [float(np.max(np.abs(p - m)) / np.max(np.abs(m)))
+                  for p, m in zip(probed, hand)]
+        # measured: 4e-17, 3e-17 and 1.2e-15 for both steppers
+        assert max(errors[:2]) < 1e-14 and errors[2] < 1e-13, errors
+
 
 class TestCoordinateFlow:
     """The closed-form e^{At}, A = [[0,1],[-ua,-2]], against 50-digit mpmath

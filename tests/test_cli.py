@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -612,3 +613,38 @@ def test_import_loads_no_thread_pool_or_logging():
     # importing concurrent.futures costs milliseconds and pulls in logging;
     # the gradient's helper and the draw thread are plain threading.Thread
     assert loaded_after_import(["concurrent", "logging"]) == "[]"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language):
+    """The bodies of README's fenced blocks tagged `language` ("" for none)."""
+    fenced = README.read_text(encoding="utf-8").split("```")[1::2]
+    return [body.partition("\n")[2] for body in fenced if body.partition("\n")[0] == language]
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (block,) = readme_blocks("python")
+    exec(block, {})
+    assert capsys.readouterr().out
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+    # every `ulmc ...` line as written; a "# name: text" line is a file the
+    # example reads, and data.libsvm is a small generated dataset
+    monkeypatch.chdir(tmp_path)
+    write_dataset(tmp_path / "data.libsvm")
+    commands = []
+    for block in readme_blocks(""):
+        for line in block.replace("\\\n", " ").splitlines():
+            name, colon, text = line.partition(": ")
+            if line.startswith("# ") and colon:
+                Path(name[2:]).write_text(text)
+            elif line.startswith("ulmc "):
+                commands.append(shlex.split(line)[1:])
+    assert {argv[0] for argv in commands} == {"schedule", "sample", "convergence",
+                                              "coupled-error"}
+    for argv in commands:
+        assert main(argv) == 0, argv

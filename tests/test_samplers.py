@@ -543,7 +543,7 @@ class TestSchedules:
         assert sched.R == math.ceil(2 * math.log(2)) == 2
         assert sched.h <= (0.25) ** 0.25
         rho = 0.5 * (sched.h - 0.5 * (1.0 - math.exp(-2.0 * sched.h)))
-        tol = max(sched.delta**4, 2.0**-53)
+        tol = max((sched.h / sched.R) ** 4, 2.0**-53)
         assert sched.K == max(2, 1 + math.ceil(math.log(tol) / math.log(rho))) == 4
         assert sched.K == derived_depth(sched.h, sched.R)
         # (kappa, epsilon) -> (R, K, N) from kappa 4 to 1e4
@@ -614,7 +614,7 @@ class TestSchedules:
             par = ulmc.schedule_parallel(eps, kappa, C=big_c, L=kappa)
             assert 0.0 < par.h <= 0.05
             assert par.R >= 1 and par.K >= 2
-            assert (par.R * par.delta) ** 4 <= 0.25 + 1e-12
+            assert par.h**4 <= 0.25 + 1e-12
 
 
 class TestRunChain:

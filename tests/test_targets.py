@@ -536,7 +536,10 @@ class TestLoadLibsvm:
         ("+1 1:1\nyes 1:2\n", ":2: bad label field 'yes'"),
         ("+1 0:1\n", ":1: indices are 1-based, got 0"),
         ("5 1:1\n7 1:2\n", "unrecognized label alphabet \\[5.0, 7.0\\]"),
-    ], ids=["label field", "index 0", "alphabet {5, 7}"])
+        ("-1 1:1\n0 1:2\n1 1:3\n", "unrecognized label alphabet \\[-1.0, 0.0, 1.0\\]"),
+        # {1} fits {-1,+1}, {0,1} and {1,2}: its rows would be +1 or -1 by the pick
+        ("1 1:0.5\n1 1:0.2\n", "unrecognized label alphabet \\[1.0\\]"),
+    ], ids=["label field", "index 0", "alphabet {5, 7}", "three labels", "alphabet {1}"])
     def test_rejects_bad_fields(self, text, message, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(text)
