@@ -11,6 +11,7 @@ the shared path, so they are audited and checked as fresh-draw runs are.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -226,9 +227,15 @@ def _require_point(value, target: TargetSpec, name):
     return point
 
 
+@functools.lru_cache(maxsize=8)
 def _gauss_legendre_01(n):
+    """n-point Gauss-Legendre nodes and weights on [0, 1], computed once per
+    n and shared, so read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _rmm_alpha_averaged_maps(diag, h, u, n_nodes):
@@ -469,16 +476,17 @@ def coupled_error_experiment(
     start = _resolve_start(target, x0, chains)
     rng = np.random.default_rng(seed)
     path = BrownianPathStore(total_time, n_ref, chains, target.dim, rng)
-    ref, grad_evals = _drive(target, "exp_euler_uld", total_time / n_ref, n_ref, None, start,
-                             1, 2, None, None, path=(None, path.increments(n_ref)))
+    # each run steps its own copy of the start in place
+    ref, grad_evals = _drive(target, "exp_euler_uld", total_time / n_ref, n_ref, None,
+                             start.copy(), 1, 2, None, None, path=(None, path.increments(n_ref)))
     rows = []
     for h in h_values:
         n = steps_per_h[h]
         alphas = rng.uniform(size=(n, chains)) if "rmm" in methods else None
         inc = path.increments(n, alphas)
         for method in methods:
-            state, count = _drive(target, method, total_time / n, n, None, start, 1, 2, None,
-                                  None, path=(alphas, inc))
+            state, count = _drive(target, method, total_time / n, n, None, start.copy(), 1, 2,
+                                  None, None, path=(alphas, inc))
             grad_evals += count
             error = np.linalg.norm(state.x - ref.x, axis=1)
             if not np.isfinite(error).all():  # finite states can still overflow here

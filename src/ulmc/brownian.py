@@ -31,6 +31,7 @@ draws all its cells up front, then one block per set of midpoint steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -114,11 +115,13 @@ def _gain_residual(t):
 _CellLaw = namedtuple("_CellLaw", "t excess rho decay q0 r0 r1")
 
 
+@functools.lru_cache(maxsize=256)
 def _cell_law(t):
     """The builder's constants of one length t: `_gain_residual`'s excess =
     gamma - 1 and rho, decay = e^{-2t}, and W2 = q0 z0 - r1 z1, W3 = r0 z0 +
     r1 z1 in z0 = H / sqrt(t), z1 = (G - gamma H) / sqrt(rho).  Var(G)
-    overflows above t of about 177, which raises UlmcError."""
+    overflows above t of about 177, which raises UlmcError.  Computed once
+    per length; a raised error is not cached."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         excess, rho = _gain_residual(t)
     if not np.isfinite(rho):

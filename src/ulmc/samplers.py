@@ -8,7 +8,9 @@ Steppers:
   overdamped_lmc_step      first-order Langevin baseline (no velocity)
 
 The midpoint steppers and the exponential integrator share one exact
-update, `_flow`; they differ only in their estimates of the gradient.
+update, `_flow`; they differ only in their estimates of the gradient.  Each
+of the three is a kernel that writes into the output arrays it is given:
+the public stepper runs it into fresh arrays, a run into its own state.
 
 All steppers are pure functions of (state, randomness) with friction 2 and
 inverse mass u = 1/L, and take a state of one chain, shape (d,), or of a
@@ -80,6 +82,9 @@ H_MAX_SCHEDULE = 0.05
 H_MAX_STEPPER = 1.0
 
 METHODS = ("rmm", "rmm_parallel", "euler_uld", "exp_euler_uld", "lmc")
+
+# The methods whose runs step their state in place (`_drive`).
+_IN_PLACE = ("rmm", "rmm_parallel", "exp_euler_uld")
 
 
 @dataclass(frozen=True)
@@ -177,38 +182,71 @@ def rmm_step(
     and at the midpoint estimate.
     """
     _check_step(h, state, target, inc, state.x.shape)
-    alpha = _require_fractions(alpha)
+    return _pure(_rmm, state, target, h, _require_fractions(alpha), inc)
+
+
+def _pure(kernel, state, *args):
+    """A public stepper's result: the kernel run into fresh arrays, so the
+    state and increments are left as they were."""
+    shape = state.x.shape
+    out = SamplerState(x=np.empty(shape), v=np.empty(shape), step=state.step + 1)
+    kernel(state, *args, out, (np.empty(shape), np.empty(shape)))
+    return out
+
+
+def _rmm(state, target, h, alpha, inc, out, work):
+    """rmm_step's arithmetic on checked inputs, written into out, which may
+    be state itself.  The midpoint estimate is built in work[1]; work[0]
+    is `_flow`'s buffer, since the midpoint's gradient may be that estimate."""
     u = 1.0 / target.smoothness
     ah = alpha[..., None] * h if alpha.ndim else alpha * h
     decay_mid = np.exp(-2.0 * ah)
     tail = np.exp(-2.0 * (h - ah))
     w_mid = 0.5 * u * (ah - 0.5 * (1.0 - decay_mid))
-    x_mid = _advance(state.x, state.v, decay_mid, w_mid, target.gradient(state.x), u, inc.W1)
+    x_mid = _advance(state.x, state.v, decay_mid, w_mid, target.gradient(state.x), u, inc.W1,
+                     work[1], work[0])
     grad_mid = target.gradient(x_mid)
-    return _flow(state, math.exp(-2.0 * h), u,
-                 0.5 * u * h * (1.0 - tail), grad_mid, u * h * tail, grad_mid, inc)
+    _flow(state, math.exp(-2.0 * h), u,
+          0.5 * u * h * (1.0 - tail), grad_mid, u * h * tail, grad_mid, inc, out, work[0])
 
 
-def _advance(x, v, decay, weight, grad, u, noise):
+def _advance(x, v, decay, weight, grad, u, noise, out, work):
     """Position after the exact flow over a span whose velocity decays by
-    `decay`, with weight * grad estimating the gradient integral.  The kick
-    is formed inside the sum, weight (scalar or per-chain column) first."""
-    return x + 0.5 * (1.0 - decay) * v - weight * grad + math.sqrt(u) * noise
+    `decay`, with weight * grad estimating the gradient integral, written
+    into out (which may be x) and returned.  Each term is formed in work,
+    weight (scalar or per-chain column) first, and summed in the order of
+    x + 0.5 (1 - decay) v - weight grad + sqrt(u) noise, so the result is
+    bitwise that expression's."""
+    np.multiply(0.5 * (1.0 - decay), v, out=work)
+    np.add(x, work, out=out)
+    np.multiply(weight, grad, out=work)
+    out -= work
+    np.multiply(math.sqrt(u), noise, out=work)
+    out += work
+    return out
 
 
-def _flow(state, decay, u, w_x, grad_x, w_v, grad_v, inc):
+def _flow(state, decay, u, w_x, grad_x, w_v, grad_v, inc, out, work):
     """The exact step, decay = e^{-2h}, that rmm, rmm_parallel and
-    exp_euler_uld share: only their gradient estimates differ."""
-    x = _advance(state.x, state.v, decay, w_x, grad_x, u, inc.W2)
-    v = state.v * decay - w_v * grad_v + 2.0 * math.sqrt(u) * inc.W3
-    return SamplerState(x=x, v=v, step=state.step + 1)
+    exp_euler_uld share: only their gradient estimates differ.  Writes the
+    new x, then the new v, into out, which may be state itself, through one
+    buffer, work; bitwise equal to x' = `_advance` and
+    v' = v decay - w_v grad_v + 2 sqrt(u) W3.  The gradients must not share
+    memory with out.x."""
+    _advance(state.x, state.v, decay, w_x, grad_x, u, inc.W2, out.x, work)
+    v = np.multiply(state.v, decay, out=out.v)
+    np.multiply(w_v, grad_v, out=work)
+    v -= work
+    np.multiply(2.0 * math.sqrt(u), inc.W3, out=work)
+    v += work
 
 
 def _resolve_start(target: TargetSpec, x0, chains=None):
     """The start rule: a run's finite (rows, d) start, from x0 or, when x0
     is None, the target's minimizer.  With `chains`, it must be one (d,)
     point, copied to `chains` rows; without, a (d,) point is one row and a
-    (chains >= 1, d) batch its own rows.  UlmcError otherwise."""
+    (chains >= 1, d) batch its own rows.  UlmcError otherwise.  The start
+    is a fresh array, which the run may then step in place."""
     if x0 is None:
         if target.minimizer is None:
             raise ConfigError("target has no minimizer and no start point was given")
@@ -220,12 +258,12 @@ def _resolve_start(target: TargetSpec, x0, chains=None):
         raise UlmcError(f"start shape {x.shape} is not {want} for target d={target.dim}")
     if not np.isfinite(x).all():
         raise UlmcError("chain start is not finite")
-    return np.tile(x, (chains, 1)) if chains is not None else np.atleast_2d(x)
+    return np.tile(x, (chains, 1)) if chains is not None else np.array(x, ndmin=2)
 
 
-def _require_finite(state, method):
+def _require_finite(state, method, step):
     if not (np.isfinite(state.x).all() and np.isfinite(state.v).all()):
-        raise UlmcError(f"{method} chain state is not finite after step {state.step}")
+        raise UlmcError(f"{method} chain state is not finite after step {step}")
 
 
 # A slot of the draw ring holds as many whole steps' draws as fit in this
@@ -365,31 +403,39 @@ def _drive(target, method, h, n_steps, seed, x, R, K, record_every, record, path
     checked before any draw.  After each step the state must be finite;
     every record_every steps record(step, x, v) is called.  Returns the
     final state and the audited gradient count.
+
+    The run owns its arrays: x, which it overwrites, a zero velocity and,
+    for the `_IN_PLACE` methods, a workspace of two state-sized buffers;
+    those methods step the state in place through the public steppers'
+    kernels.  record therefore receives the run's live arrays and must copy
+    what it keeps.  A run's peak memory is the draw ring, plus the state,
+    plus the workspace, plus what a step's gradients allocate.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     _check_run(h, n_steps, record_every)
     _check_midpoints(R, K)
     state = SamplerState(x=x, v=np.zeros_like(x), step=0)
+    work = (np.empty_like(x), np.empty_like(x)) if method in _IN_PLACE else None
     counter = GradientCounter(target)
     counted = counter.wrapped()
     steps = _path_steps(*path) if path else _fresh_steps(method, h, n_steps, seed, *x.shape, R)
     with contextlib.closing(steps):  # closing stops the draw thread
         for n, (fractions, inc) in enumerate(steps):
             if method == "rmm":
-                state = rmm_step(state, counted, h, fractions, inc)
+                _rmm(state, counted, h, fractions, inc, state, work)
             elif method == "rmm_parallel":
-                state = parallel_rmm_step(state, counted, h, R, K, fractions, inc)
+                _parallel_rmm(state, counted, h, R, K, fractions, inc, state, work)
+            elif method == "exp_euler_uld":
+                _exponential_euler_uld(state, counted, h, inc, state, work)
             elif method == "euler_uld":
                 state = euler_uld_step(state, counted, h, inc)
-            elif method == "exp_euler_uld":
-                state = exponential_euler_uld_step(state, counted, h, inc)
             else:
                 state = overdamped_lmc_step(state, counted, h, inc)
-            _require_finite(state, method)
+            _require_finite(state, method, n + 1)
             if record_every and (n + 1) % record_every == 0:
                 record(n + 1, state.x, state.v)
-    return state, counter.count
+    return SamplerState(x=state.x, v=state.v, step=n_steps), counter.count
 
 
 def run_chain(
@@ -507,12 +553,18 @@ def parallel_rmm_step(
     """
     _check_midpoints(R, K)
     _check_step(h, state, target, incs, state.x.shape[:-1] + (R, target.dim))
-    x, v = state.x, state.v
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != x.shape[:-1] + (R,):
+    if alphas.shape != state.x.shape[:-1] + (R,):
         raise UlmcError(f"expected {R} midpoint fractions, got {alphas.shape}")
     _require_cells(alphas, R)
+    return _pure(_parallel_rmm, state, target, h, R, K, alphas, incs)
 
+
+def _parallel_rmm(state, target, h, R, K, alphas, incs, out, work):
+    """parallel_rmm_step's arithmetic on checked inputs: the sweeps allocate
+    their arrays, and the final update is written into out, which may be
+    state itself, through work[0]."""
+    x, v = state.x, state.v
     u = 1.0 / target.smoothness
     delta = h / R
     mids = alphas * h  # alpha_i * h, one per cell
@@ -543,9 +595,9 @@ def parallel_rmm_step(
 
     grads = gradients(estimates)
     tail = np.exp(-2.0 * (h - mids))[..., None, :]
-    return _flow(state, math.exp(-2.0 * h), u,
-                 0.5 * u * delta, ((1.0 - tail) @ grads)[..., 0, :],
-                 u * delta, (tail @ grads)[..., 0, :], incs)
+    _flow(state, math.exp(-2.0 * h), u,
+          0.5 * u * delta, ((1.0 - tail) @ grads)[..., 0, :],
+          u * delta, (tail @ grads)[..., 0, :], incs, out, work[0])
 
 
 def parallel_rmm_run(
@@ -593,10 +645,18 @@ def exponential_euler_uld_step(
     is not read (None from exp_euler_increments).
     """
     _check_step(h, state, target, inc)
+    return _pure(_exponential_euler_uld, state, target, h, inc)
+
+
+def _exponential_euler_uld(state, target, h, inc, out, work):
+    """exponential_euler_uld_step's arithmetic on checked inputs, written
+    into out, which may be state itself, through work[0]."""
     u = 1.0 / target.smoothness
     w_x, w_v = exp_euler_coefficients(h)
     grad = target.gradient(state.x)
-    return _flow(state, math.exp(-2.0 * h), u, 0.5 * u * w_x, grad, u * w_v, grad, inc)
+    if np.may_share_memory(grad, out.x):  # a gradient may hand back its input
+        grad = grad.copy()
+    _flow(state, math.exp(-2.0 * h), u, 0.5 * u * w_x, grad, u * w_v, grad, inc, out, work[0])
 
 
 def overdamped_lmc_step(state: SamplerState, target: TargetSpec, h, rng) -> SamplerState:

@@ -136,8 +136,9 @@ def quadratic_target(diag, center) -> TargetSpec:
         raise InvalidTargetError("diag and center must be finite")
 
     def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return diag * (x - center)
+        grad = np.asarray(x, dtype=float) - center  # bitwise diag * (x - center)
+        grad *= diag
+        return grad
 
     def value(x):
         x = np.asarray(x, dtype=float)

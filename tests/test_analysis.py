@@ -433,6 +433,16 @@ class TestMomentOracle:
             np.diag(trace.covs[-1]), [1.0, 1.0], rtol=5e-5
         )
 
+    def test_quadrature_rule_is_computed_once_and_read_only(self):
+        alphas, weights = analysis._gauss_legendre_01(16)
+        assert analysis._gauss_legendre_01(16)[0] is alphas
+        nodes, raw = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_array_equal(alphas, 0.5 * (nodes + 1.0))
+        np.testing.assert_array_equal(weights, 0.5 * raw)
+        for array in (alphas, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     @pytest.mark.parametrize("stepper", ["rmm_step", "parallel_rmm_step"])
     def test_probed_step_matches_the_hand_maps(self, stepper):
         # On a centered diagonal quadratic a step is linear in (x, v, W1, W2,
@@ -683,6 +693,27 @@ class TestCoupledExperiment:
         assert message in str(raised.value) and stores == []
         ulmc.coupled_error_experiment(target, [0.5], 1.0, seed=0, chains=2)
         assert len(stores) == 1  # the spy sees the one store of a good run
+
+    def test_every_run_steps_its_own_copy_of_the_start(self, monkeypatch):
+        # each run steps its start in place, so the runs after the reference
+        # must not see the reference's (or each other's) end state
+        starts = []
+
+        def spy(target, method, h, n_steps, seed, x, *args, **kwargs):
+            starts.append((x, x.copy()))
+            return drive(target, method, h, n_steps, seed, x, *args, **kwargs)
+
+        drive = analysis._drive
+        monkeypatch.setattr(analysis, "_drive", spy)
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        x0 = np.array([0.7, -0.4])
+        ulmc.coupled_error_experiment(target, [0.1, 0.2], 1.0, seed=2, chains=3, x0=x0)
+        np.testing.assert_array_equal(x0, [0.7, -0.4])
+        assert len(starts) == 5  # the reference, then rmm and exp_euler_uld per h
+        for i, (x, at_call) in enumerate(starts):
+            np.testing.assert_array_equal(at_call, np.tile(x0, (3, 1)))
+            assert not np.shares_memory(x, x0)
+            assert not any(np.shares_memory(x, other) for other, _ in starts[:i])
 
     def test_rejects_low_refinement(self):
         target = ulmc.quadratic_target([1.0], [0.0])

@@ -193,6 +193,16 @@ class TestIntervalCovariance:
         with pytest.raises(UlmcError, match="overflows"):
             exp_euler_increments(200.0, 3, rng)
 
+    def test_cell_law_is_computed_once_per_length(self):
+        law = ulmc.brownian._cell_law(0.0375)
+        assert ulmc.brownian._cell_law(0.0375) is law
+        # an overflow is raised again on every call, never cached
+        cached = ulmc.brownian._cell_law.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(UlmcError, match="overflows"):
+                ulmc.brownian._cell_law(200.0)
+        assert ulmc.brownian._cell_law.cache_info().currsize == cached
+
 
 class TestCompose:
     @pytest.mark.parametrize("length", [0.0, -0.1, np.nan, np.inf])

@@ -547,6 +547,23 @@ class TestSampleDriver:
         sched = ulmc.Schedule(h=0.05, N=30, u=1.0 / target.smoothness)
         np.testing.assert_array_equal(xs, ulmc.rmm_run_ensemble(target, sched, 5, 4).x)
 
+    @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
+    def test_run_leaves_the_start_it_is_given(self, method, tmp_path, monkeypatch):
+        starts = []
+
+        def spy(*args, x0, **kwargs):
+            starts.append((x0, x0.copy()))
+            return run_chain(*args, x0=x0, **kwargs)
+
+        run_chain = ulmc.cli.run_chain
+        monkeypatch.setattr(ulmc.cli, "run_chain", spy)
+        assert run_cli("sample", "--quad-diag", "1,4", "--method", method, "--h", "0.05",
+                       "--n-steps", "6", "--chains", "3",
+                       "--out", str(tmp_path / "samples.csv")) == 0
+        ((x0, given),) = starts
+        np.testing.assert_array_equal(x0, given)
+        np.testing.assert_array_equal(given, np.zeros((3, 2)))
+
     @pytest.mark.parametrize("h", ["0", "-1", "inf", "nan"])
     def test_bad_step_size_is_config_error_before_any_draw(self, h, tmp_path, capsys,
                                                            monkeypatch):

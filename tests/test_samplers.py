@@ -784,6 +784,105 @@ class TestOneDriver:
         assert new.step == 1 and new.x.shape == new.v.shape == (4, 2)
 
 
+def public_draws(method, chains, d, h, rng, R=3):
+    """One step's (fractions or None, increments) for a public stepper."""
+    if method == "rmm":
+        alphas = rng.uniform(size=chains)
+        return alphas, ulmc.brownian.step_increments_batch(h, alphas, d, rng)
+    if method == "rmm_parallel":
+        alphas = (np.arange(R) + rng.uniform(size=(chains, R))) / R
+        return alphas, ulmc.parallel_step_increments(h, R, alphas, d, rng)
+    return None, ulmc.brownian.exp_euler_increments_batch(h, chains, d, rng)
+
+
+def public_step(method, state, target, h, fractions, inc, R=3, K=3):
+    if method == "rmm":
+        return ulmc.rmm_step(state, target, h, fractions, inc)
+    if method == "rmm_parallel":
+        return ulmc.parallel_rmm_step(state, target, h, R, K, fractions, inc)
+    return ulmc.exponential_euler_uld_step(state, target, h, inc)
+
+
+class TestRunOwnsItsArrays:
+    """A run steps its own copies in place; callers' arrays and the public
+    steppers' inputs are never written."""
+
+    @pytest.mark.parametrize("method", ulmc.samplers._IN_PLACE)
+    def test_public_steppers_leave_their_inputs_and_share_no_memory(self, method):
+        target = ulmc.quadratic_target([1.0, 4.0], [0.3, -0.2])
+        rng = np.random.default_rng(21)
+        state = SamplerState(x=rng.standard_normal((5, 2)), v=rng.standard_normal((5, 2)))
+        fractions, inc = public_draws(method, 5, 2, 0.05, rng)
+        given = [a for a in (state.x, state.v, fractions, *inc) if a is not None]
+        before = [a.copy() for a in given]
+        new = public_step(method, state, target, 0.05, fractions, inc)
+        for a, a_before in zip(given, before):
+            np.testing.assert_array_equal(a, a_before)
+        for out in (new.x, new.v):
+            assert not any(np.shares_memory(out, a) for a in given)
+        assert not np.shares_memory(new.x, new.v)
+
+    @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
+    def test_run_chain_leaves_the_start_and_the_minimizer(self, method):
+        center = np.array([0.3, -0.2, 0.1])
+        target = ulmc.quadratic_target([1.0, 4.0, 9.0], center)
+        x0 = np.linspace(-1.0, 1.0, 21).reshape(7, 3)
+        given = x0.copy()
+        run_chain(target, method, 0.05, 12, seed=4, R=3, K=3, x0=x0)
+        run_chain(target, method, 0.05, 12, seed=4, R=3, K=3)
+        np.testing.assert_array_equal(x0, given)
+        np.testing.assert_array_equal(target.minimizer, center)
+
+    def test_ensemble_leaves_the_start(self):
+        target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
+        x0 = np.array([0.5, -0.5])
+        result = ulmc.rmm_run_ensemble(target, Schedule(0.05, 10, 0.25), 6, 3, x0=x0)
+        np.testing.assert_array_equal(x0, [0.5, -0.5])
+        assert not np.shares_memory(result.x, x0)
+
+    @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
+    def test_history_equals_the_public_steppers_at_every_record(self, method):
+        # records are copies of the live arrays, taken at their steps
+        target = ulmc.quadratic_target([1.0, 4.0, 9.0], [0.3, -0.2, 0.1])
+        x0 = np.linspace(-1.0, 1.0, 21).reshape(7, 3)
+        result = run_chain(target, method, 0.05, 12, seed=6, R=3, K=3, x0=x0, record_every=4)
+        assert [s for s, _, _ in result.history] == [0, 4, 8, 12]
+        for step, x, v in result.history:
+            expected = batch_hand_loop(target, method, 0.05, step, 6, 3, 3, x0)
+            np.testing.assert_array_equal(x, expected.x)
+            np.testing.assert_array_equal(v, expected.v)
+
+    @pytest.mark.parametrize("method", ulmc.samplers._IN_PLACE)
+    def test_a_gradient_that_returns_its_input(self, method):
+        # f = |x|^2 / 2 written as the identity: the gradient is the array the
+        # step passed in, which an in-place step must not overwrite early
+        def spec(gradient):
+            return TargetSpec(dim=3, gradient=gradient, smoothness=1.0,
+                              strong_convexity=1.0, minimizer=np.zeros(3))
+
+        x0 = np.linspace(-1.0, 1.0, 21).reshape(7, 3)
+        result = run_chain(spec(lambda x: x), method, 0.05, 30, seed=9, R=3, K=3, x0=x0)
+        expected = run_chain(spec(lambda x: np.array(x)), method, 0.05, 30, seed=9, R=3,
+                             K=3, x0=x0).final
+        np.testing.assert_array_equal(result.final.x, expected.x)
+        np.testing.assert_array_equal(result.final.v, expected.v)
+
+    def test_traced_peak_of_an_ensemble_run(self):
+        # the two-slot draw ring holds 6.2 state-sized arrays, the state and
+        # the workspace 4 and the step's gradients about 2: under 13 in all
+        chains, d = 5000, 10
+        target = ulmc.quadratic_target(np.geomspace(1.0, 100.0, d), np.zeros(d))
+        sched = Schedule(0.05, 20, 1.0 / target.smoothness)
+        tracemalloc.start()
+        try:
+            result = ulmc.rmm_run_ensemble(target, sched, chains, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(result.x).all()
+        assert peak < 13 * chains * d * 8
+
+
 def test_concurrent_runs_under_fast_thread_switching(monkeypatch):
     # four runs, each with its own draw thread, on one-step slots: the ring
     # changes hands at every step while threads switch every microsecond

@@ -184,6 +184,14 @@ class TestQuadraticTarget:
         fd = central_difference(target.value, x, 1e-6)
         np.testing.assert_allclose(target.gradient(x), fd, rtol=1e-6)
 
+    @pytest.mark.parametrize("x", [[0.25, -3.0, 7.5], np.arange(12.0).reshape(4, 3) / 7.0],
+                             ids=["point as a list", "batch"])
+    def test_gradient_is_bitwise_the_product_form_in_a_fresh_array(self, x):
+        diag, center = np.array([1.5, 4.0, 0.3]), np.array([0.1, -0.7, 2.0])
+        grad = quadratic_target(diag, center).gradient(x)
+        np.testing.assert_array_equal(grad, diag * (np.asarray(x) - center))
+        assert not np.shares_memory(grad, x)
+
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(InvalidTargetError):
             quadratic_target([1.0, 0.0], [0.0, 0.0])
