@@ -242,8 +242,11 @@ def cmd_sample(args) -> int:
     else:
         h, n_steps = args.h, args.n_steps
 
+    # a read-only view of one start row: run_chain's own start is the only
+    # state-sized copy
+    start = np.broadcast_to(_resolve_start(target, None, 1), (args.chains, target.dim))
     result = run_chain(target, args.method, h, n_steps, args.seed, R=args.r_midpoints,
-                       K=args.k_iters, x0=_resolve_start(target, None, args.chains))
+                       K=args.k_iters, x0=start)
     _write_table(
         args,
         ["chain"] + [f"x{i}" for i in range(target.dim)],

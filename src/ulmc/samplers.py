@@ -130,7 +130,9 @@ class RunResult:
 
 @dataclass
 class EnsembleResult:
-    """Final (chains, d) positions/velocities and per-checkpoint moments."""
+    """Final (chains, d) positions/velocities and per-checkpoint moments:
+    the (2d,) mean of the stacked (x, v) and its (2d, 2d) n - 1 sample
+    covariance, summed over row blocks (`rmm_run_ensemble`)."""
 
     x: np.ndarray
     v: np.ndarray
@@ -493,6 +495,11 @@ def rmm_run(
     return run_chain(target, "rmm", sched.h, sched.N, seed, x0=x0, record_every=record_every)
 
 
+# A moment checkpoint centres the chains in blocks of at most this many
+# rows, so it allocates no array with a row per chain.
+_MOMENT_ROWS = 1024
+
+
 def rmm_run_ensemble(
     target: TargetSpec,
     sched: Schedule,
@@ -507,7 +514,10 @@ def rmm_run_ensemble(
     the (d,) start (`_resolve_start`): each step draws for the whole
     ensemble from one stream.  Records empirical (x, v) moments, not
     states, every record_every steps when requested, which takes two chains
-    or more.
+    or more: the mean of the stacked (x, v) rows and their n - 1 sample
+    covariance, the sum of b.T @ b over blocks b of at most `_MOMENT_ROWS`
+    rows centred on that mean.  A checkpoint thus adds one such block to
+    the run's memory, not a copy of the state.
     """
     _check_schedule(sched, target)
     _require_count(chains, "chain count", 1, ConfigError)
@@ -516,8 +526,28 @@ def rmm_run_ensemble(
     result = EnsembleResult(x=None, v=None, grad_evals=0)
 
     def record(step, x, v):
-        z = np.concatenate([x, v], axis=1)
-        result.checkpoints.append((step, z.mean(axis=0), np.cov(z, rowvar=False)))
+        n, d = x.shape
+        block = np.empty((min(n, _MOMENT_ROWS) + 1, 2 * d))
+        rows = [slice(lo, min(lo + _MOMENT_ROWS, n)) for lo in range(0, n, _MOMENT_ROWS)]
+        # column sums row by row, in the order np.mean sums the stacked
+        # (n, 2d) array (x.mean alone sums pairwise at d = 1): block[0]
+        # carries the running sum, from -0.0, which adds exactly
+        total = np.full(2 * d, -0.0)
+        for r in rows:
+            b = block[:r.stop - r.start + 1]
+            b[0] = total
+            b[1:, :d] = x[r]
+            b[1:, d:] = v[r]
+            total = np.add.reduce(b, axis=0)
+        mean = total / n
+        cov = np.zeros((2 * d, 2 * d))
+        for r in rows:
+            b = block[:r.stop - r.start]
+            np.subtract(x[r], mean[:d], out=b[:, :d])
+            np.subtract(v[r], mean[d:], out=b[:, d:])
+            cov += b.T @ b
+        cov /= n - 1
+        result.checkpoints.append((step, mean, cov))
 
     x = _resolve_start(target, x0, chains)
     state, result.grad_evals = _drive(

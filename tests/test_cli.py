@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -563,6 +564,24 @@ class TestSampleDriver:
         ((x0, given),) = starts
         np.testing.assert_array_equal(x0, given)
         np.testing.assert_array_equal(given, np.zeros((3, 2)))
+
+    def test_traced_peak_of_an_ensemble_sample(self, tmp_path):
+        # the CLI's start is a read-only view, so the run's own start is the
+        # only state-sized one and the peak is the run's (under 13
+        # state-sized arrays, see test_samplers); traced after a warm-up run
+        chains, d = 5000, 10
+        diag = ",".join(map(repr, np.geomspace(1.0, 100.0, d).tolist()))
+        argv = ["sample", "--quad-diag", diag, "--method", "rmm", "--h", "0.05",
+                "--n-steps", "20", "--chains", str(chains),
+                "--out", str(tmp_path / "samples.csv")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * chains * d * 8
 
     @pytest.mark.parametrize("h", ["0", "-1", "inf", "nan"])
     def test_bad_step_size_is_config_error_before_any_draw(self, h, tmp_path, capsys,

@@ -206,6 +206,32 @@ class TestRmmRun:
             )
             assert np.max(np.abs(cov_e - cov_o) / se_cov) < 5.0
 
+    @pytest.mark.parametrize("d", [1, 10])
+    @pytest.mark.parametrize("chains", [2, 1023, 1024, 1025, 3000])
+    def test_checkpoint_moments_are_numpys_of_the_stacked_state(self, chains, d,
+                                                                monkeypatch):
+        # the recorder is handed these arrays as its live state; the chain
+        # counts fall on both sides of the 1024-row block edges, and the
+        # correlated columns keep every covariance entry away from zero
+        rng = np.random.default_rng(chains + d)
+        mixed = rng.standard_normal((chains, 2 * d)) @ (1.0 + np.eye(2 * d)) + 3.0
+        x, v = np.array(mixed[:, :d]), np.array(mixed[:, d:])
+
+        def drive(target, method, h, n_steps, seed, x0, R, K, record_every, record):
+            record(n_steps, x, v)
+            return SamplerState(x=x, v=v, step=n_steps), 0
+
+        monkeypatch.setattr(ulmc.samplers, "_drive", drive)
+        target = ulmc.quadratic_target(np.ones(d), np.zeros(d))
+        result = ulmc.rmm_run_ensemble(target, Schedule(0.05, 5, 1.0), chains, 0,
+                                       record_every=5)
+        ((step, mean, cov),) = result.checkpoints
+        z = np.concatenate([x, v], 1)
+        assert step == 5
+        np.testing.assert_array_equal(mean, np.mean(z, axis=0))
+        np.testing.assert_allclose(cov, np.cov(z, rowvar=False), rtol=1e-13)
+        np.testing.assert_array_equal(cov, cov.T)
+
 
 class TestParallelStep:
     def test_reduces_to_serial_step(self):
@@ -833,6 +859,19 @@ class TestRunOwnsItsArrays:
         np.testing.assert_array_equal(x0, given)
         np.testing.assert_array_equal(target.minimizer, center)
 
+    @pytest.mark.parametrize("method", ulmc.samplers.METHODS)
+    def test_run_chain_from_a_read_only_broadcast_start(self, method):
+        # the CLI's start: one point broadcast to every chain, not writable
+        target = ulmc.quadratic_target([1.0, 4.0, 9.0], [0.3, -0.2, 0.1])
+        point = np.array([[0.5, -0.5, 0.25]])
+        x0 = np.broadcast_to(point, (7, 3))
+        result = run_chain(target, method, 0.05, 12, seed=4, R=3, K=3, x0=x0)
+        np.testing.assert_array_equal(point, [[0.5, -0.5, 0.25]])
+        expected = run_chain(target, method, 0.05, 12, seed=4, R=3, K=3,
+                             x0=np.tile(point, (7, 1))).final
+        np.testing.assert_array_equal(result.final.x, expected.x)
+        np.testing.assert_array_equal(result.final.v, expected.v)
+
     def test_ensemble_leaves_the_start(self):
         target = ulmc.quadratic_target([1.0, 4.0], [0.0, 0.0])
         x0 = np.array([0.5, -0.5])
@@ -867,15 +906,20 @@ class TestRunOwnsItsArrays:
         np.testing.assert_array_equal(result.final.x, expected.x)
         np.testing.assert_array_equal(result.final.v, expected.v)
 
-    def test_traced_peak_of_an_ensemble_run(self):
+    @pytest.mark.parametrize("record_every", [None, 5])
+    def test_traced_peak_of_an_ensemble_run(self, record_every):
         # the two-slot draw ring holds 6.2 state-sized arrays, the state and
-        # the workspace 4 and the step's gradients about 2: under 13 in all
+        # the workspace 4 and the step's gradients about 2: under 13 in all;
+        # a checkpoint adds one block of at most 1024 rows, 0.4 of them here.
+        # Traced after a warm-up run: a cold process holds about 1.9 more.
         chains, d = 5000, 10
         target = ulmc.quadratic_target(np.geomspace(1.0, 100.0, d), np.zeros(d))
         sched = Schedule(0.05, 20, 1.0 / target.smoothness)
+        ulmc.rmm_run_ensemble(target, sched, chains, 0, record_every=record_every)
         tracemalloc.start()
         try:
-            result = ulmc.rmm_run_ensemble(target, sched, chains, 0)
+            result = ulmc.rmm_run_ensemble(target, sched, chains, 0,
+                                           record_every=record_every)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
