@@ -503,34 +503,6 @@ def coupled_error_experiment(
     return CoupledErrorResult(rows=rows, slopes=slopes, grad_evals=grad_evals)
 
 
-def _weighted_products(centred, weights, k):
-    """Weighted sums (k, d) and second moments (k, d, d) of the centred
-    sample (d, n) under k weightings of its n columns, taken from the
-    iterator `weights` one (n,) row at a time.
-
-    Per block of d weightings, one product gives the sums, and d products
-    give the upper triangle of the second moments: coordinate i's row
-    against the products of coordinate i with coordinates i and up.  The
-    lower triangle is mirrored.  No buffer holds more numbers than the
-    sample.
-    """
-    d, n = centred.shape
-    sums, second = np.empty((k, d)), np.empty((k, d, d))
-    block, products = np.empty((d, n)), np.empty((d, n))
-    for start in range(0, k, d):
-        rows = block[: min(d, k - start)]
-        for row in rows:
-            row[...] = next(weights)
-        stop = start + len(rows)
-        np.matmul(rows, centred.T, out=sums[start:stop])
-        for i in range(d):
-            np.multiply(centred[i:], centred[i], out=products[i:])
-            second[start:stop, i, i:] = rows @ products[i:].T
-    upper, lower = np.triu_indices(d, 1)
-    second[:, lower, upper] = second[:, upper, lower]
-    return sums, second
-
-
 def _bootstrap_w2(xs, seed, mean, cov):
     """W2 from the fitted Gaussian of the final positions xs (chains, d) to
     the Gaussian (mean, cov), then from that of each bootstrap resample of
@@ -538,24 +510,25 @@ def _bootstrap_w2(xs, seed, mean, cov):
 
     Resample r draws its chain indices with rng.integers and enters as
     their multiplicities w; the sample itself enters with unit ones.  The
-    positions are centred once on their mean, and with dm the w-weighted
-    mean of the centred positions c_j, a fit's covariance is
-    (sum_j w_j c_j c_j^T - chains dm dm^T) / (chains - 1).
+    positions are centred once, as columns c_j of a (d, chains) array c,
+    and each fit takes one product c @ w for its weighted sum and one,
+    (c * w) @ c.T through a reused buffer the size of the sample, for its
+    second moments.  With dm the w-weighted mean of the c_j, a fit's
+    covariance is (sum_j w_j c_j c_j^T - chains dm dm^T) / (chains - 1).
     """
     chains, d = xs.shape
+    fits = 1 + BOOTSTRAP_RESAMPLES
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
-
-    def multiplicities():
-        yield np.ones(chains)
-        for _ in range(BOOTSTRAP_RESAMPLES):
-            yield np.bincount(rng.integers(0, chains, size=chains), minlength=chains)
-
     centre = xs.mean(axis=0)
-    sums, covs = _weighted_products(
-        np.subtract(xs.T, centre[:, None], out=np.empty((d, chains))),
-        multiplicities(),
-        1 + BOOTSTRAP_RESAMPLES,
-    )
+    centred = np.subtract(xs.T, centre[:, None], out=np.empty((d, chains)))
+    weighted = np.empty((d, chains))
+    sums, covs = np.empty((fits, d)), np.empty((fits, d, d))
+    w = np.ones(chains)
+    for r in range(fits):
+        if r:
+            w = np.bincount(rng.integers(0, chains, size=chains), minlength=chains)
+        np.matmul(centred, w, out=sums[r])
+        np.matmul(np.multiply(centred, w, out=weighted), centred.T, out=covs[r])
     offset = sums / chains
     covs -= chains * offset[:, :, None] * offset[:, None, :]
     covs /= max(chains - 1, 1)  # a single chain has covariance zero

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import coupled_error_experiment, stationary_error_study
-from .errors import ConfigError, ScheduleError, UlmcError, _require_count
+from .errors import ConfigError, InvalidTargetError, ScheduleError, UlmcError, _require_count
 from .samplers import (
     METHODS,
     _resolve_start,
@@ -178,7 +178,9 @@ def _only_with(args, acts, where, **defaults):
 
 def _make_target(args):
     """The ridge-logistic posterior of --dataset when it is given, else the
-    quadratic of --quad-diag and --quad-center."""
+    quadratic of --quad-diag and --quad-center.  Every command that builds
+    a target takes --seed, so the seed is checked here first."""
+    _require_count(args.seed, "seed", 0, ConfigError)
     logistic = getattr(args, "dataset", None) is not None
     _only_with(args, not logistic, "beside --dataset", quad_diag="1", quad_center=None)
     _only_with(args, logistic, "without --dataset", lam=1e-2, scale_features=False)
@@ -324,7 +326,7 @@ def main(argv=None) -> int:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ConfigError, ScheduleError) as exc:
+    except (ConfigError, ScheduleError, InvalidTargetError) as exc:
         print(f"ulmc: configuration error: {exc}", file=sys.stderr)
         return 2
     except (UlmcError, OSError) as exc:

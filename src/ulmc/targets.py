@@ -365,11 +365,12 @@ def _minimize_gradient_descent(gradient, dim, L, m, tol=1e-8, max_iter=200_000):
 def load_libsvm(path, scale_features: bool = False) -> Dataset:
     """Parse a LIBSVM sparse text file into a dense Dataset.
 
-    Lines are "label idx:val idx:val ..." with 1-based indices; d is the
-    largest index seen.  The labels must fit exactly one of the alphabets
-    {-1,+1}, {0,1} and {1,2}, whose smaller value maps to -1; all-1 labels
-    fit all three and raise DatasetFormatError.  With scale_features, each
-    column is affinely mapped to [-1, 1] (constant columns map to 0).
+    Lines are "label idx:val idx:val ..." with 1-based indices, none
+    repeated within a line; d is the largest index seen.  The labels must
+    fit exactly one of the alphabets {-1,+1}, {0,1} and {1,2}, whose smaller
+    value maps to -1; all-1 labels fit all three and raise
+    DatasetFormatError.  With scale_features, each column is affinely mapped
+    to [-1, 1] (constant columns map to 0).
     """
     entries = []  # (label, {col: val}) per line
     max_index = 0
@@ -399,6 +400,8 @@ def load_libsvm(path, scale_features: bool = False) -> Dataset:
                     raise DatasetFormatError(
                         f"{path}:{lineno}: indices are 1-based, got {idx}"
                     )
+                if idx - 1 in row:
+                    raise DatasetFormatError(f"{path}:{lineno}: feature index {idx} repeats")
                 row[idx - 1] = val
                 max_index = max(max_index, idx)
             entries.append((label, row))

@@ -51,12 +51,21 @@ class TestSampleCommand:
     @pytest.mark.parametrize("flags, message", [
         (("--quad-diag", "1,x"), "expected comma-separated numbers, got '1,x'"),
         (("--quad-diag", "1,2", "--quad-center", "0,0,0"), "lengths differ"),
-    ], ids=["not a number", "lengths differ"])
+        (("--quad-diag", "0,1"), "all diagonal entries must be positive"),
+        (("--quad-diag", "inf"), "diag and center must be finite"),
+        (("--quad-diag", "1,2", "--quad-center", "0,nan"), "diag and center must be finite"),
+        (("--dataset", "DATASET", "--lambda", "-1"),
+         "regularization must be finite and positive, got -1.0"),
+    ], ids=["not a number", "lengths differ", "zero curvature", "infinite curvature",
+            "nan center", "negative lambda"])
     def test_bad_quadratic_is_config_error(self, flags, message, tmp_path, capsys):
         out = tmp_path / "samples.csv"
+        data = str(write_dataset(tmp_path / "d.txt"))
+        flags = [data if tok == "DATASET" else tok for tok in flags]
         assert run_cli("sample", *flags, "--h", "0.05", "--n-steps", "3",
                        "--out", str(out)) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("ulmc: configuration error: ") and message in err
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -625,6 +634,58 @@ def test_chain_count_below_one_is_config_error(argv, chains, tmp_path, capsys):
     assert run_cli(*argv, "--chains", chains, "--out", str(out)) == 2
     assert "chain count" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{}, {"seed": -1}], ids=["flag", "config"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--quad-diag", "1,4", "--h", "0.05", "--n-steps", "3"),
+        ("sample", "--dataset", "MISSING", "--h", "0.05", "--n-steps", "3"),
+        ("convergence", "--quad-diag", "1,2", "--epsilon", "0.5"),
+        ("coupled-error", "--quad-diag", "1", "--h", "0.1,0.2", "--total-time", "0.4"),
+    ],
+    ids=["sample", "sample dataset", "convergence", "coupled-error"],
+)
+def test_negative_seed_exits_2_before_any_work(argv, config, tmp_path, capsys, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("the draw thread was set up")
+
+    monkeypatch.setattr(ulmc.samplers, "_fresh_steps", no_draws)
+    cfg, out = tmp_path / "run.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(config))
+    argv = [str(tmp_path / "missing.txt") if tok == "MISSING" else tok for tok in argv]
+    flags = () if config else ("--seed", "-1")
+    assert run_cli(*argv, *flags, "--config", str(cfg), "--out", str(out)) == 2
+    # the missing dataset is never opened, so it does not exit 3
+    assert "configuration error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (ulmc.ConfigError, 2),
+    (ulmc.ScheduleError, 2),
+    (ulmc.InvalidTargetError, 2),
+    (ulmc.UlmcError, 3),
+    (ulmc.UnsupportedTargetError, 3),
+    (ulmc.DatasetFormatError, 3),
+    (OSError, 3),
+    (RuntimeError, None),
+])
+def test_exit_code_of_each_error_raised_in_a_command(error, code, tmp_path, capsys,
+                                                     monkeypatch):
+    def raising(args):
+        raise error("raised in the command")
+
+    monkeypatch.setattr(ulmc.cli, "_make_target", raising)
+    argv = ["sample", "--h", "0.05", "--n-steps", "3", "--out", str(tmp_path / "o.csv")]
+    if code is None:  # not a library error: main does not swallow it
+        with pytest.raises(error, match="raised in the command"):
+            run_cli(*argv)
+        return
+    assert run_cli(*argv) == code
+    kind = "configuration error" if code == 2 else "error"
+    assert capsys.readouterr().err == f"ulmc: {kind}: raised in the command\n"
 
 
 def loaded_after_import(names):

@@ -547,7 +547,9 @@ class TestLoadLibsvm:
         ("-1 1:1\n0 1:2\n1 1:3\n", "unrecognized label alphabet \\[-1.0, 0.0, 1.0\\]"),
         # {1} fits {-1,+1}, {0,1} and {1,2}: its rows would be +1 or -1 by the pick
         ("1 1:0.5\n1 1:0.2\n", "unrecognized label alphabet \\[1.0\\]"),
-    ], ids=["label field", "index 0", "alphabet {5, 7}", "three labels", "alphabet {1}"])
+        ("-1 2:1\n1 1:0.5 1:0.7\n", "bad.txt:2: feature index 1 repeats"),
+    ], ids=["label field", "index 0", "alphabet {5, 7}", "three labels", "alphabet {1}",
+            "repeated index"])
     def test_rejects_bad_fields(self, text, message, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(text)
